@@ -8,42 +8,14 @@ the symmetry derivation that pins the two-setting qutrit threshold at
 F_thr = (11 - 6*sqrt(3))/2.
 """
 
-from .phases import PhaseExprError, parse_phase_expr
-from .proof import ProofCheck, ProofReport, run_proof, symmetry_operator
-from .quantum import (
-    ExperimentConfig,
-    correlation_matrix,
-    correlation_value,
-    fourier_matrix,
-    joint_probabilities,
-    observable_unitary,
-    root_of_unity,
-)
-from .simplex import (
-    CertificateReport,
-    LinearProgram,
-    LPSolution,
-    SolverFailure,
-    check_certificate,
-    solve,
-)
-from .strategies import (
-    DeterministicStrategy,
-    StrategyMatrix,
-    canonicalize,
-    conjugate,
-    distinct_matrices,
-    enumerate_strategies,
-    orbit_map,
-)
+from .proof import ProofCheck, ProofReport, run_proof
+from .quantum import ExperimentConfig
+from .simplex import SolverFailure
 from .threshold import (
-    BUILTINS,
     ScanResult,
     ThresholdResult,
     builtin_config,
-    correlation_lp,
     correlation_threshold,
-    probability_lp,
     probability_threshold,
     scan,
 )
@@ -51,39 +23,15 @@ from .threshold import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTINS",
-    "CertificateReport",
-    "DeterministicStrategy",
     "ExperimentConfig",
-    "LPSolution",
-    "LinearProgram",
-    "PhaseExprError",
     "ProofCheck",
     "ProofReport",
     "ScanResult",
     "SolverFailure",
-    "StrategyMatrix",
     "ThresholdResult",
     "builtin_config",
-    "canonicalize",
-    "check_certificate",
-    "conjugate",
-    "correlation_lp",
-    "correlation_matrix",
     "correlation_threshold",
-    "correlation_value",
-    "distinct_matrices",
-    "enumerate_strategies",
-    "fourier_matrix",
-    "joint_probabilities",
-    "observable_unitary",
-    "orbit_map",
-    "parse_phase_expr",
-    "probability_lp",
     "probability_threshold",
-    "root_of_unity",
     "run_proof",
     "scan",
-    "solve",
-    "symmetry_operator",
 ]

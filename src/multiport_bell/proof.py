@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .quantum import ExperimentConfig, correlation_matrix
-from .strategies import distinct_matrices, enumerate_strategies, orbit_map
+from .strategies import distinct_matrices, enumerate_strategies, strategy_values
 from .threshold import builtin_config, correlation_threshold
 
 SQRT3 = math.sqrt(3.0)
@@ -42,6 +42,7 @@ ALPHA = complex(np.exp(2j * np.pi / 3.0))
 ANALYTIC_VISIBILITY = (6.0 * SQRT3 - 9.0) / 2.0
 
 _SCALING_TOL = 1e-12
+_MATCH_TOL = 1e-9
 LP_AGREEMENT_TOL = 1e-7
 
 
@@ -79,6 +80,44 @@ def base_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b1, b10, b1 + b10
 
 
+def conjugate(values: np.ndarray, transform: np.ndarray) -> np.ndarray:
+    """Two-sided action U @ H @ U of a 2x2 transform on 2x2 strategy matrices.
+
+    ``values`` is one matrix or a stack of them, shape (..., 2, 2).
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-2:] != (2, 2):
+        raise ValueError("conjugation is defined for the two-setting scenario only")
+    u = np.asarray(transform, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"transform must be 2x2, got shape {u.shape}")
+    return u @ values @ u
+
+
+def orbit_map(values: np.ndarray, transform: np.ndarray) -> list[int]:
+    """Permutation n -> m with U H_n U = H_m over a (K, 2, 2) stack of the
+    distinct strategy matrices.
+
+    Raises ValueError if conjugation leaves the set or the map is not an
+    involution.
+    """
+    values = np.asarray(values)
+    if values.ndim != 3 or not len(values):
+        raise ValueError("expected a non-empty (K, 2, 2) stack of strategy matrices")
+    images = conjugate(values, transform)
+    # distinct roots-of-unity matrices lie far apart, so a match is unique
+    matches = np.abs(images[:, None] - values[None, :]).max(axis=(2, 3)) <= _MATCH_TOL
+    unmatched = np.flatnonzero(matches.sum(axis=1) != 1)
+    if unmatched.size:
+        raise ValueError(
+            f"conjugation maps matrix {unmatched[0]} outside the distinct strategy set"
+        )
+    permutation = matches.argmax(axis=1)
+    if np.any(permutation[permutation] != np.arange(len(values))):
+        raise ValueError("conjugation does not act as an involution")
+    return permutation.tolist()
+
+
 def orbit_classes(permutation: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
     """Split an involution into its two-cycles and fixed points."""
     pairs = [(n, m) for n, m in enumerate(permutation) if n < m]
@@ -104,8 +143,17 @@ def _maxdev(array: np.ndarray) -> float:
 
 
 def run_proof(config: ExperimentConfig | None = None) -> ProofReport:
-    """Execute every derivation step against the given (default built-in) config."""
+    """Execute every derivation step against the given (default built-in) config.
+
+    Raises ValueError for a config the derivation does not cover: anything
+    but N=3 with two settings per party.
+    """
     cfg = builtin_config("paper-qutrit") if config is None else config
+    if (cfg.dimension, cfg.n_alice, cfg.n_bob) != (3, 2, 2):
+        raise ValueError(
+            "the qutrit proof covers N=3 with two settings per party, got "
+            f"N={cfg.dimension} with {cfg.n_alice} (alice) and {cfg.n_bob} (bob) settings"
+        )
     operator = symmetry_operator()
     q = correlation_matrix(cfg)
     checks: list[ProofCheck] = []
@@ -124,20 +172,20 @@ def run_proof(config: ExperimentConfig | None = None) -> ProofReport:
     record("symmetry_commutes", dev <= 1e-12, "max |SQ - QS| entry", dev)
 
     # 3: conjugation permutes the 27 distinct matrices (12 pairs + 3 fixed).
-    mats = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
-    permutation = orbit_map(mats, operator)
+    strategies = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
+    stack = strategy_values(strategies, 3)
+    permutation = orbit_map(stack, operator)
     pairs, fixed = orbit_classes(permutation)
     record(
         "orbit_structure",
-        len(mats) == 27 and len(pairs) == 12 and len(fixed) == 3,
-        f"{len(pairs)} two-cycles, {len(fixed)} fixed points over {len(mats)} matrices",
+        len(stack) == 27 and len(pairs) == 12 and len(fixed) == 3,
+        f"{len(pairs)} two-cycles, {len(fixed)} fixed points over {len(stack)} matrices",
         None,
     )
 
     # 4: orbit-averaging an optimal weight vector keeps the reconstruction.
     lp_result = correlation_threshold(cfg)
-    stack = np.stack([m.values for m in mats])
-    weights = np.array([lp_result.weights[m.strategy] for m in mats])
+    weights = np.array([lp_result.weights[s] for s in strategies])
     swapped = weights[np.array(permutation)]
     dev = _maxdev(np.tensordot(0.5 * (weights + swapped) - weights, stack, axes=1))
     n_classes = len(pairs) + len(fixed)

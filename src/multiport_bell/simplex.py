@@ -87,7 +87,6 @@ class CertificateReport:
 @dataclass
 class _Counter:
     iterations: int = 0
-    cap: int = ITERATION_CAP
 
 
 class _Scratch:
@@ -101,14 +100,8 @@ class _Scratch:
 
 
 def _pivot(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    row: int,
-    col: int,
-    scratch: _Scratch | None = None,
+    tableau: np.ndarray, basis: np.ndarray, row: int, col: int, scratch: _Scratch
 ) -> None:
-    if scratch is None:
-        scratch = _Scratch(tableau.shape[0] - 1, tableau.shape[1])
     np.multiply(tableau[row], 1.0 / tableau[row, col], out=tableau[row])
     np.copyto(scratch.column, tableau[:, col])
     scratch.column[row] = 0.0
@@ -128,19 +121,17 @@ def _optimize(
     n_enterable: int,
     counter: _Counter,
     stall_limit: int,
-    bland: bool = False,
-    refresh=None,
-    scratch: _Scratch | None = None,
+    bland: bool,
+    refresh,
+    scratch: _Scratch,
 ) -> str:
     """Run simplex iterations until optimality, unboundedness, or the cap."""
     m = basis.size
-    if scratch is None:
-        scratch = _Scratch(m, tableau.shape[1])
     best_objective = -math.inf
     stalled = 0
     since_refresh = 0
     while True:
-        if refresh is not None and since_refresh >= _REFRESH_EVERY:
+        if since_refresh >= _REFRESH_EVERY:
             if not refresh():
                 return "singular"
             since_refresh = 0
@@ -158,7 +149,7 @@ def _optimize(
         eligible = column > PIVOT_TOL
         if not eligible.any():
             return "unbounded"
-        if counter.iterations >= counter.cap:
+        if counter.iterations >= ITERATION_CAP:
             return "cap"
         # roundoff can leave tiny negative basic values; clamping them for the
         # ratio test keeps degenerate rows tied at zero, where the tie-break
@@ -291,7 +282,7 @@ def _solve_attempt(lp: LinearProgram, counter: _Counter, bland_start: bool) -> L
         phase1_costs = np.concatenate([np.zeros(n), -np.ones(m)])
         status = optimize_verified(phase1_costs)
         if status == "cap":
-            return failed(f"iteration cap {counter.cap} hit in phase 1")
+            return failed(f"iteration cap {ITERATION_CAP} hit in phase 1")
         if status in ("singular", "primal", "drift", "unbounded"):
             return LPSolution(
                 "retry", math.nan, None, math.nan, counter.iterations, f"phase 1 {status}"
@@ -320,7 +311,7 @@ def _solve_attempt(lp: LinearProgram, counter: _Counter, bland_start: bool) -> L
     phase2_costs = np.concatenate([c, np.zeros(m)])
     status = optimize_verified(phase2_costs)
     if status == "cap":
-        return failed(f"iteration cap {counter.cap} hit in phase 2")
+        return failed(f"iteration cap {ITERATION_CAP} hit in phase 2")
     if status == "unbounded":
         return LPSolution("unbounded", math.inf, None, math.nan, counter.iterations, "")
     if status != "optimal":
@@ -343,7 +334,7 @@ def _solve_attempt(lp: LinearProgram, counter: _Counter, bland_start: bool) -> L
     return LPSolution("optimal", float(c @ x), x, residual, counter.iterations)
 
 
-def solve(lp: LinearProgram, iteration_cap: int = ITERATION_CAP) -> LPSolution:
+def solve(lp: LinearProgram) -> LPSolution:
     """Two-phase simplex; returns a solution with exact status reporting.
 
     Every claimed verdict is re-checked against a tableau refactorized from
@@ -352,7 +343,7 @@ def solve(lp: LinearProgram, iteration_cap: int = ITERATION_CAP) -> LPSolution:
     pivot rule fails verification, one full retry runs with Bland's rule
     from the first iteration before the solver reports failure.
     """
-    counter = _Counter(cap=iteration_cap)
+    counter = _Counter()
     solution = _solve_attempt(lp, counter, bland_start=False)
     if solution.status == "retry":
         solution = _solve_attempt(lp, counter, bland_start=True)

@@ -21,8 +21,6 @@ from .quantum import _require_dimension
 
 MAX_STRATEGIES = 10**7
 
-_MATCH_TOL = 1e-9
-
 
 @dataclass(frozen=True, order=True)
 class DeterministicStrategy:
@@ -30,27 +28,6 @@ class DeterministicStrategy:
 
     alice: tuple[int, ...]
     bob: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StrategyMatrix:
-    """Factorizable matrix of outcome values for one canonical strategy."""
-
-    dimension: int
-    strategy: DeterministicStrategy
-
-    @property
-    def exponents(self) -> np.ndarray:
-        """Integer matrix (i, j) -> (alice[i] + bob[j]) mod N."""
-        return (
-            np.add.outer(np.array(self.strategy.alice), np.array(self.strategy.bob))
-            % self.dimension
-        )
-
-    @property
-    def values(self) -> np.ndarray:
-        """Complex matrix of N-th roots of unity gamma**exponents."""
-        return np.exp(2j * np.pi / self.dimension * self.exponents)
 
 
 def enumerate_strategies(
@@ -80,66 +57,31 @@ def canonicalize(strategy: DeterministicStrategy, dimension: int) -> Determinist
 
 def distinct_matrices(
     strategies: Iterable[DeterministicStrategy], dimension: int
-) -> list[StrategyMatrix]:
-    """The pairwise-distinct strategy matrices, one canonical representative each.
-
-    Output is ordered lexicographically by the representative's
-    (alice, bob) outcome tuples.
-    """
+) -> tuple[DeterministicStrategy, ...]:
+    """One canonical strategy per distinct outcome matrix, in lexicographic order."""
     _require_dimension(dimension)
-    canonical = {canonicalize(s, dimension) for s in strategies}
-    return [StrategyMatrix(dimension, s) for s in sorted(canonical)]
+    return tuple(sorted({canonicalize(s, dimension) for s in strategies}))
 
 
-def conjugate(matrix: StrategyMatrix, transform: np.ndarray) -> np.ndarray:
-    """Two-sided action U @ H @ U of a 2x2 transform on a 2x2 strategy matrix."""
-    values = matrix.values
-    if values.shape != (2, 2):
-        raise ValueError("conjugation is defined for the two-setting scenario only")
-    u = np.asarray(transform, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"transform must be 2x2, got shape {u.shape}")
-    return u @ values @ u
+def outcome_arrays(
+    strategies: Sequence[DeterministicStrategy],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's (K, n_alice) and Bob's (K, n_bob) integer outcome arrays."""
+    alice = np.array([s.alice for s in strategies], dtype=int)
+    bob = np.array([s.bob for s in strategies], dtype=int)
+    return alice, bob
 
 
-def _strategy_from_values(
-    values: np.ndarray, dimension: int
-) -> DeterministicStrategy | None:
-    """Recover the canonical strategy whose matrix equals ``values``, if any."""
-    if not np.allclose(np.abs(values), 1.0, atol=_MATCH_TOL):
-        return None
-    exponents = (
-        np.round(np.angle(values) * dimension / (2.0 * np.pi)).astype(int) % dimension
-    )
-    if np.max(np.abs(values - np.exp(2j * np.pi / dimension * exponents))) > _MATCH_TOL:
-        return None
-    alice = tuple((exponents[:, 0] - exponents[0, 0]) % dimension)
-    bob = tuple(exponents[0, :] % dimension)
-    candidate = DeterministicStrategy(tuple(int(a) for a in alice), tuple(int(b) for b in bob))
-    if np.any(StrategyMatrix(dimension, candidate).exponents != exponents):
-        return None  # not factorizable
-    return candidate
+def strategy_exponents(
+    strategies: Sequence[DeterministicStrategy], dimension: int
+) -> np.ndarray:
+    """Integer matrices (K, n_alice, n_bob) with entries (alice[i] + bob[j]) mod N."""
+    alice, bob = outcome_arrays(strategies)
+    return (alice[:, :, None] + bob[:, None, :]) % dimension
 
 
-def orbit_map(matrices: Sequence[StrategyMatrix], transform: np.ndarray) -> list[int]:
-    """Permutation n -> m with U H_n U = H_m over the distinct set.
-
-    Raises ValueError if conjugation leaves the set or the map is not an
-    involution.
-    """
-    if not matrices:
-        raise ValueError("empty matrix list")
-    dimension = matrices[0].dimension
-    index = {m.strategy: k for k, m in enumerate(matrices)}
-    permutation = []
-    for k, matrix in enumerate(matrices):
-        image = _strategy_from_values(conjugate(matrix, transform), dimension)
-        if image is None or image not in index:
-            raise ValueError(
-                f"conjugation maps matrix {k} outside the distinct strategy set"
-            )
-        permutation.append(index[image])
-    for n, m in enumerate(permutation):
-        if permutation[m] != n:
-            raise ValueError("conjugation does not act as an involution")
-    return permutation
+def strategy_values(
+    strategies: Sequence[DeterministicStrategy], dimension: int
+) -> np.ndarray:
+    """Complex outcome matrices (K, n_alice, n_bob): gamma**exponents."""
+    return np.exp(2j * np.pi / dimension * strategy_exponents(strategies, dimension))

@@ -23,20 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .quantum import ExperimentConfig, correlation_matrix, joint_probabilities
-from .simplex import LinearProgram, LPSolution, SolverFailure, solve
+from .simplex import LinearProgram, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
-    StrategyMatrix,
     distinct_matrices,
     enumerate_strategies,
+    outcome_arrays,
+    strategy_values,
 )
-
-_METHOD_NAMES = {
-    "corr": "correlation",
-    "correlation": "correlation",
-    "prob": "probability",
-    "probability": "probability",
-}
 
 SCAN_STEP_START = math.pi / 2
 SCAN_STEP_STOP = 1e-4
@@ -89,57 +83,86 @@ class ScanResult:
     history: tuple[tuple[int, float], ...]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @lru_cache(maxsize=None)
 def _correlation_data(
     dimension: int, n_alice: int, n_bob: int
-) -> tuple[tuple[StrategyMatrix, ...], np.ndarray, np.ndarray]:
-    mats = tuple(
-        distinct_matrices(enumerate_strategies(dimension, n_alice, n_bob), dimension)
+) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
+    """Distinct strategies, their complex outcome values (one column each) and
+    the LP block of real parts stacked over imaginary parts."""
+    strategies = distinct_matrices(
+        enumerate_strategies(dimension, n_alice, n_bob), dimension
     )
-    stack = np.stack([m.values for m in mats])  # (K, n_alice, n_bob)
-    flat = stack.reshape(len(mats), -1).T  # (n_alice*n_bob, K)
-    block = np.vstack([flat.real, flat.imag])
-    for arr in (stack, block):
-        arr.setflags(write=False)
-    return mats, stack, block
+    values = strategy_values(strategies, dimension)  # (K, n_alice, n_bob)
+    table = values.reshape(len(strategies), -1).T
+    return strategies, _frozen(table), _frozen(np.vstack([table.real, table.imag]))
 
 
 @lru_cache(maxsize=None)
 def _probability_data(
     dimension: int, n_alice: int, n_bob: int
-) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray]:
+) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
+    """All strategies and their 0/1 coincidence indicators, one column each.
+
+    Row ((i*n_bob + j)*N + a)*N + b is outcome pair (a, b) at settings (i, j);
+    the table doubles as the LP block.
+    """
     strategies = tuple(enumerate_strategies(dimension, n_alice, n_bob))
-    n = dimension
-    indicator = np.zeros((n_alice * n_bob * n * n, len(strategies)))
-    for idx, strat in enumerate(strategies):
-        for i in range(n_alice):
-            for j in range(n_bob):
-                row = ((i * n_bob + j) * n + strat.alice[i]) * n + strat.bob[j]
-                indicator[row, idx] = 1.0
-    indicator.setflags(write=False)
-    return strategies, indicator
+    alice, bob = outcome_arrays(strategies)
+    pair = np.arange(n_alice)[:, None] * n_bob + np.arange(n_bob)[None, :]
+    rows = (pair * dimension + alice[:, :, None]) * dimension + bob[:, None, :]
+    indicator = np.zeros((n_alice * n_bob * dimension**2, len(strategies)))
+    indicator[rows.reshape(len(strategies), -1).T, np.arange(len(strategies))] = 1.0
+    _frozen(indicator)
+    return strategies, indicator, indicator
 
 
-def _assemble(
-    block: np.ndarray,
-    v_column: np.ndarray,
-    rhs_match: np.ndarray,
-    pin_visibility: float | None,
-) -> LinearProgram:
-    """Stack matching rows with the normalization and the visibility cap.
+def _correlation_statistics(config: ExperimentConfig):
+    """Correlation matching: the strategy values against the noiseless
+    correlation matrix, offset 0."""
+    data = _correlation_data(config.dimension, config.n_alice, config.n_bob)
+    return (*data, correlation_matrix(config).reshape(-1), 0.0)
 
+
+def _probability_statistics(config: ExperimentConfig):
+    """Probability matching: the strategy indicators against the noiseless
+    coincidence tables, offset 1/N**2 (the uniform table)."""
+    data = _probability_data(config.dimension, config.n_alice, config.n_bob)
+    pure = np.concatenate(
+        [
+            joint_probabilities(config, i, j).reshape(-1)
+            for i in range(config.n_alice)
+            for j in range(config.n_bob)
+        ]
+    )
+    return (*data, pure, 1.0 / config.dimension**2)
+
+
+def _problem(config: ExperimentConfig, statistics, pin_visibility: float | None):
+    """The threshold LP of one method, with the arrays it was built from.
+
+    ``statistics(config)`` gives the strategies, their table (one column per
+    strategy), the LP block holding that table, the quantum point and the
+    offset.  A strategy mixture p must equal V*point + (1 - V)*offset row by
+    row; complex rows are matched by their real and imaginary parts.
     Variables are [p_1 .. p_K, V, slack]; the cap row reads V + slack = 1.
     """
+    strategies, table, block, point, offset = statistics(config)
+    matched = np.concatenate([point.real, point.imag]) if np.iscomplexobj(point) else point
     rows, k = block.shape
     extra = 2 + (pin_visibility is not None)
     a = np.zeros((rows + extra, k + 2))
     a[:rows, :k] = block
-    a[:rows, k] = v_column
+    a[:rows, k] = -(matched - offset)
     a[rows, :k] = 1.0
     a[rows + 1, k] = 1.0
     a[rows + 1, k + 1] = 1.0
     b = np.zeros(rows + extra)
-    b[:rows] = rhs_match
+    b[:rows] = offset
     b[rows] = 1.0
     b[rows + 1] = 1.0
     if pin_visibility is not None:
@@ -147,99 +170,56 @@ def _assemble(
         b[rows + 2] = pin_visibility
     c = np.zeros(k + 2)
     c[k] = 1.0
-    return LinearProgram(c, a, b)
+    return LinearProgram(c, a, b), strategies, table, point, offset
+
+
+def _threshold(config: ExperimentConfig, method: str, statistics) -> ThresholdResult:
+    """Solve the LP and read V, the weights and the residual off its arrays."""
+    lp, strategies, table, point, offset = _problem(config, statistics, None)
+    solution = solve(lp)
+    if solution.status != "optimal":
+        raise SolverFailure(
+            f"threshold LP ended with status {solution.status}: {solution.detail}"
+        )
+    k = len(strategies)
+    weights = solution.x[:k]
+    v = float(min(max(solution.x[k], 0.0), 1.0))
+    # over the table, not the LP block: a complex entry's residual is its modulus
+    target = v * point + (1.0 - v) * offset
+    residual = float(np.max(np.abs(table @ weights - target)))
+    return ThresholdResult(
+        method,
+        config.dimension,
+        v,
+        1.0 - v,
+        {s: max(float(w), 0.0) for s, w in zip(strategies, weights)},
+        residual,
+        solution.iterations,
+    )
 
 
 def correlation_lp(
     config: ExperimentConfig, pin_visibility: float | None = None
-) -> tuple[LinearProgram, tuple[StrategyMatrix, ...]]:
+) -> tuple[LinearProgram, tuple[DeterministicStrategy, ...]]:
     """LP matching the noiseless correlation matrix scaled by V."""
-    mats, _, block = _correlation_data(config.dimension, config.n_alice, config.n_bob)
-    q = correlation_matrix(config).reshape(-1)
-    target = np.concatenate([q.real, q.imag])
-    lp = _assemble(block, -target, np.zeros(target.size), pin_visibility)
-    return lp, mats
+    return _problem(config, _correlation_statistics, pin_visibility)[:2]
 
 
 def probability_lp(
     config: ExperimentConfig, pin_visibility: float | None = None
 ) -> tuple[LinearProgram, tuple[DeterministicStrategy, ...]]:
     """LP matching every coincidence table of the noise-mixed state."""
-    strategies, indicator = _probability_data(
-        config.dimension, config.n_alice, config.n_bob
-    )
-    uniform = 1.0 / config.dimension**2
-    pure = np.concatenate(
-        [
-            joint_probabilities(config, i, j).reshape(-1)
-            for i in range(config.n_alice)
-            for j in range(config.n_bob)
-        ]
-    )
-    rhs = np.full(pure.size, uniform)
-    lp = _assemble(indicator, -(pure - uniform), rhs, pin_visibility)
-    return lp, strategies
-
-
-def _solved(lp: LinearProgram) -> LPSolution:
-    solution = solve(lp)
-    if solution.status != "optimal":
-        raise SolverFailure(
-            f"threshold LP ended with status {solution.status}: {solution.detail}"
-        )
-    return solution
+    return _problem(config, _probability_statistics, pin_visibility)[:2]
 
 
 def correlation_threshold(config: ExperimentConfig) -> ThresholdResult:
     """Critical visibility and noise threshold from correlation matching."""
-    lp, mats = correlation_lp(config)
-    solution = _solved(lp)
-    _, stack, _ = _correlation_data(config.dimension, config.n_alice, config.n_bob)
-    k = len(mats)
-    weights_vec = solution.x[:k]
-    v = float(min(max(solution.x[k], 0.0), 1.0))
-    reconstruction = np.tensordot(weights_vec, stack, axes=1)
-    residual = float(np.max(np.abs(reconstruction - v * correlation_matrix(config))))
-    weights = {
-        mat.strategy: max(float(w), 0.0) for mat, w in zip(mats, weights_vec)
-    }
-    return ThresholdResult(
-        "correlation", config.dimension, v, 1.0 - v, weights, residual, solution.iterations
-    )
+    return _threshold(config, "correlation", _correlation_statistics)
 
 
 def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
     """Critical visibility and noise threshold from full-statistics matching."""
-    lp, strategies = probability_lp(config)
-    solution = _solved(lp)
-    _, indicator = _probability_data(config.dimension, config.n_alice, config.n_bob)
-    k = len(strategies)
-    weights_vec = solution.x[:k]
-    v = float(min(max(solution.x[k], 0.0), 1.0))
-    uniform = 1.0 / config.dimension**2
-    pure = np.concatenate(
-        [
-            joint_probabilities(config, i, j).reshape(-1)
-            for i in range(config.n_alice)
-            for j in range(config.n_bob)
-        ]
-    )
-    target = v * pure + (1.0 - v) * uniform
-    residual = float(np.max(np.abs(indicator @ weights_vec - target)))
-    weights = {
-        strat: max(float(w), 0.0) for strat, w in zip(strategies, weights_vec)
-    }
-    return ThresholdResult(
-        "probability", config.dimension, v, 1.0 - v, weights, residual, solution.iterations
-    )
-
-
-def _threshold_function(method: str):
-    try:
-        name = _METHOD_NAMES[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return correlation_threshold if name == "correlation" else probability_threshold
+    return _threshold(config, "probability", _probability_statistics)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -302,20 +282,25 @@ def _vector_config(dimension: int, vector: np.ndarray) -> ExperimentConfig:
 
 
 def scan(
-    dimension: int, restarts: int, seed: int, method: str = "correlation"
+    dimension: int, restarts: int, seed: int, method: str = "corr"
 ) -> ScanResult:
     """Search phase settings maximizing the noise threshold.
 
     Each restart draws its start from a generator seeded by (seed, restart
     index), so runs are reproducible and restarts are order-independent;
     ties keep the lowest restart index.  A restart that trips the LP solver
-    is recorded as NaN in the history and skipped.
+    is recorded as NaN in the history and skipped.  ``method`` is "corr"
+    (correlation matching) or "prob" (probability matching), as on the
+    command line.
     """
     if not 2 <= dimension <= 6:
         raise ValueError(f"scan supports dimensions 2..6, got {dimension}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    threshold = _threshold_function(method)
+    thresholds = {"corr": correlation_threshold, "prob": probability_threshold}
+    if method not in thresholds:
+        raise ValueError(f"unknown method {method!r} (known: corr, prob)")
+    threshold = thresholds[method]
 
     def objective(vector: np.ndarray) -> float:
         return threshold(_vector_config(dimension, vector)).f_thr

@@ -8,13 +8,21 @@ from multiport_bell.proof import (
     ALPHA,
     ANALYTIC_VISIBILITY,
     base_matrices,
+    conjugate,
     match_base_scaling,
     orbit_classes,
+    orbit_map,
     run_proof,
     symmetry_operator,
 )
 from multiport_bell.quantum import ExperimentConfig
-from multiport_bell.strategies import distinct_matrices, enumerate_strategies, orbit_map
+from multiport_bell.strategies import (
+    DeterministicStrategy,
+    canonicalize,
+    distinct_matrices,
+    enumerate_strategies,
+    strategy_values,
+)
 from multiport_bell.threshold import builtin_config, correlation_threshold
 
 CHECK_NAMES = [
@@ -78,16 +86,29 @@ def test_mutated_config_breaks_symmetry_checks():
     assert not report.passed
 
 
+def test_run_proof_rejects_uncovered_shapes():
+    with pytest.raises(ValueError, match="N=2 with 2"):
+        run_proof(builtin_config("chsh-qubit"))
+    base = builtin_config("paper-qutrit")
+    three_settings = ExperimentConfig(3, base.alice_settings * 2, base.bob_settings)
+    with pytest.raises(ValueError, match="N=3 with 4"):
+        run_proof(three_settings)
+
+
 def test_base_identity():
     b1, b10, b13 = base_matrices()
     assert np.max(np.abs(b1 + b10 - b13)) == 0.0
 
 
+def distinct_stack():
+    strategies = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
+    return strategies, strategy_values(strategies, 3)
+
+
 def orbit_class_sums():
-    mats = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
-    permutation = orbit_map(mats, symmetry_operator())
+    mats, stack = distinct_stack()
+    permutation = orbit_map(stack, symmetry_operator())
     pairs, fixed = orbit_classes(permutation)
-    stack = np.stack([m.values for m in mats])
     members = [list(p) for p in pairs] + [[k] for k in fixed]
     return mats, permutation, members, [stack[idx].sum(axis=0) for idx in members]
 
@@ -123,7 +144,7 @@ def test_optimal_weights_lie_in_proof_family():
     cfg = builtin_config("paper-qutrit")
     result = correlation_threshold(cfg)
     mats, permutation, members, sums = orbit_class_sums()
-    weights = np.array([result.weights[m.strategy] for m in mats])
+    weights = np.array([result.weights[s] for s in mats])
     symmetrized = 0.5 * (weights + weights[np.array(permutation)])
     class_weights = {}
     for idx, g in zip(members, sums):
@@ -148,3 +169,57 @@ def test_optimal_weights_lie_in_proof_family():
     w4 = class_weights.get((-1, 2, 2), 0.0)
     expected_sum = ((9 - 2 * math.sqrt(3)) / 27) * result.v_thr
     assert abs((q13 + w4) - expected_sum) <= 1e-6
+
+
+def test_conjugate_identity():
+    matrix = distinct_stack()[1][5]
+    assert np.max(np.abs(conjugate(matrix, np.eye(2)) - matrix)) <= 1e-15
+
+
+def test_conjugate_all_ones_example():
+    # oracle: explicit 2x2 products, no numpy matmul
+    def times(x, y):
+        return [
+            [sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
+            for i in range(2)
+        ]
+
+    u = [[0, ALPHA**2], [ALPHA, 0]]
+    ones = [[1, 1], [1, 1]]
+    expected = np.array(times(times(u, ones), u))
+    all_ones = strategy_values([DeterministicStrategy((0, 0), (0, 0))], 3)[0]
+    image = conjugate(all_ones, symmetry_operator())
+    assert np.max(np.abs(image - expected)) <= 1e-14
+    target = strategy_values([canonicalize(DeterministicStrategy((2, 1), (1, 2)), 3)], 3)
+    assert np.max(np.abs(image - target[0])) <= 1e-12
+
+
+def test_conjugate_is_involution():
+    u = symmetry_operator()
+    for matrix in distinct_stack()[1]:
+        twice = u @ conjugate(matrix, u) @ u
+        assert np.max(np.abs(twice - matrix)) <= 1e-12
+
+
+def test_conjugate_shape_errors():
+    matrix = strategy_values(distinct_matrices(enumerate_strategies(3, 1, 1), 3), 3)[0]
+    with pytest.raises(ValueError):
+        conjugate(matrix, np.eye(2))
+    square = distinct_stack()[1][0]
+    with pytest.raises(ValueError):
+        conjugate(square, np.eye(3))
+
+
+def test_orbit_map_structure():
+    permutation = orbit_map(distinct_stack()[1], symmetry_operator())
+    assert sorted(permutation) == list(range(27))  # bijection
+    assert all(permutation[m] == n for n, m in enumerate(permutation))  # involution
+    fixed = sum(1 for n, m in enumerate(permutation) if n == m)
+    assert fixed == 3
+    assert (27 - fixed) // 2 == 12
+
+
+def test_orbit_map_rejects_non_preserving_transform():
+    stray = np.diag([1.0, np.exp(0.3j)])
+    with pytest.raises(ValueError):
+        orbit_map(distinct_stack()[1], stray)

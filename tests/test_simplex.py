@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from multiport_bell import simplex
 from multiport_bell.simplex import (
     LinearProgram,
     check_certificate,
@@ -73,9 +74,10 @@ def test_rejects_shape_mismatch():
         LinearProgram([1.0, 2.0], [[1.0]], [1.0])
 
 
-def test_iteration_cap_reports_failure():
+def test_iteration_cap_reports_failure(monkeypatch):
+    monkeypatch.setattr(simplex, "ITERATION_CAP", 2)
     lp, _ = correlation_lp(builtin_config("paper-qutrit"))
-    sol = solve(lp, iteration_cap=2)
+    sol = solve(lp)
     assert sol.status == "failed"
     assert "cap" in sol.detail or "iteration" in sol.detail
 

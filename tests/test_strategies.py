@@ -5,14 +5,12 @@ import pytest
 
 from multiport_bell.strategies import (
     DeterministicStrategy,
-    StrategyMatrix,
     canonicalize,
-    conjugate,
     distinct_matrices,
     enumerate_strategies,
-    orbit_map,
+    strategy_exponents,
+    strategy_values,
 )
-from multiport_bell.proof import symmetry_operator
 
 ALPHA = complex(np.exp(2j * np.pi / 3))
 
@@ -52,7 +50,10 @@ def test_distinct_counts():
     assert len(distinct_matrices(enumerate_strategies(2, 2, 2), 2)) == 8
     one_setting = distinct_matrices(enumerate_strategies(3, 1, 1), 3)
     assert len(one_setting) == 3
-    values = sorted((complex(m.values[0, 0]) for m in one_setting), key=lambda z: (z.real, z.imag))
+    values = sorted(
+        (complex(v[0, 0]) for v in strategy_values(one_setting, 3)),
+        key=lambda z: (z.real, z.imag),
+    )
     expected = sorted([1.0 + 0j, ALPHA, ALPHA**2], key=lambda z: (z.real, z.imag))
     assert all(abs(v - e) <= 1e-12 for v, e in zip(values, expected))
 
@@ -66,11 +67,9 @@ def test_distinct_count_matches_bruteforce_oracle():
 
 def test_every_strategy_matches_exactly_one_representative():
     mats = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
-    representative_exponents = [tuple(m.exponents.reshape(-1)) for m in mats]
+    representative_exponents = [tuple(e.reshape(-1)) for e in strategy_exponents(mats, 3)]
     for strategy in enumerate_strategies(3, 2, 2):
-        exponents = tuple(
-            StrategyMatrix(3, strategy).exponents.reshape(-1)
-        )
+        exponents = tuple(strategy_exponents([strategy], 3).reshape(-1))
         assert representative_exponents.count(exponents) == 1
 
 
@@ -79,68 +78,24 @@ def test_canonicalize_gauge():
     canonical = canonicalize(strategy, 3)
     assert canonical == DeterministicStrategy((0, 2), (0, 1))
     assert np.array_equal(
-        StrategyMatrix(3, strategy).exponents, StrategyMatrix(3, canonical).exponents
+        strategy_exponents([strategy], 3), strategy_exponents([canonical], 3)
     )
 
 
+def test_strategy_tables_match_per_strategy_reference():
+    # reference: one np.add.outer per strategy, as a loop
+    for dimension, n_alice, n_bob in [(2, 2, 2), (3, 2, 2), (4, 1, 3), (3, 3, 2)]:
+        strategies = enumerate_strategies(dimension, n_alice, n_bob)
+        exponents = strategy_exponents(strategies, dimension)
+        values = strategy_values(strategies, dimension)
+        assert exponents.shape == values.shape == (len(strategies), n_alice, n_bob)
+        for k, s in enumerate(strategies):
+            expected = np.add.outer(np.array(s.alice), np.array(s.bob)) % dimension
+            assert np.array_equal(exponents[k], expected)
+            assert np.array_equal(values[k], np.exp(2j * np.pi / dimension * expected))
+
+
 def test_strategy_matrices_factorizable():
-    for matrix in distinct_matrices(enumerate_strategies(3, 2, 2), 3):
-        v = matrix.values
+    for v in strategy_values(distinct_matrices(enumerate_strategies(3, 2, 2), 3), 3):
         assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-12
         assert abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]) <= 1e-12
-
-
-def test_conjugate_identity():
-    matrix = distinct_matrices(enumerate_strategies(3, 2, 2), 3)[5]
-    assert np.max(np.abs(conjugate(matrix, np.eye(2)) - matrix.values)) <= 1e-15
-
-
-def test_conjugate_all_ones_example():
-    # oracle: explicit 2x2 products, no numpy matmul
-    def times(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-
-    u = [[0, ALPHA**2], [ALPHA, 0]]
-    ones = [[1, 1], [1, 1]]
-    expected = np.array(times(times(u, ones), u))
-    all_ones = StrategyMatrix(3, DeterministicStrategy((0, 0), (0, 0)))
-    image = conjugate(all_ones, symmetry_operator())
-    assert np.max(np.abs(image - expected)) <= 1e-14
-    target = StrategyMatrix(3, canonicalize(DeterministicStrategy((2, 1), (1, 2)), 3))
-    assert np.max(np.abs(image - target.values)) <= 1e-12
-
-
-def test_conjugate_is_involution():
-    u = symmetry_operator()
-    for matrix in distinct_matrices(enumerate_strategies(3, 2, 2), 3):
-        twice = u @ conjugate(matrix, u) @ u
-        assert np.max(np.abs(twice - matrix.values)) <= 1e-12
-
-
-def test_conjugate_shape_errors():
-    matrix = distinct_matrices(enumerate_strategies(3, 1, 1), 3)[0]
-    with pytest.raises(ValueError):
-        conjugate(matrix, np.eye(2))
-    square = distinct_matrices(enumerate_strategies(3, 2, 2), 3)[0]
-    with pytest.raises(ValueError):
-        conjugate(square, np.eye(3))
-
-
-def test_orbit_map_structure():
-    mats = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
-    permutation = orbit_map(mats, symmetry_operator())
-    assert sorted(permutation) == list(range(27))  # bijection
-    assert all(permutation[m] == n for n, m in enumerate(permutation))  # involution
-    fixed = sum(1 for n, m in enumerate(permutation) if n == m)
-    assert fixed == 3
-    assert (27 - fixed) // 2 == 12
-
-
-def test_orbit_map_rejects_non_preserving_transform():
-    mats = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
-    stray = np.diag([1.0, np.exp(0.3j)])
-    with pytest.raises(ValueError):
-        orbit_map(mats, stray)

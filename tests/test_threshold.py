@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from multiport_bell import threshold
 from multiport_bell.quantum import ExperimentConfig, correlation_matrix, joint_probabilities
 from multiport_bell.simplex import check_certificate, solve
-from multiport_bell.strategies import StrategyMatrix
+from multiport_bell.strategies import enumerate_strategies, strategy_values
 from multiport_bell.threshold import (
     builtin_config,
     correlation_lp,
@@ -95,7 +96,7 @@ def test_correlation_weights_reconstruct_scaled_matrix():
     result = correlation_threshold(cfg)
     reconstruction = np.zeros((2, 2), dtype=complex)
     for strategy, weight in result.weights.items():
-        reconstruction += weight * StrategyMatrix(3, strategy).values
+        reconstruction += weight * strategy_values([strategy], 3)[0]
     target = result.v_thr * correlation_matrix(cfg)
     assert np.max(np.abs(reconstruction - target)) <= 1e-8
 
@@ -112,6 +113,37 @@ def test_probability_weights_reconstruct_mixed_tables():
             pure = joint_probabilities(cfg, i, j)
             target = result.v_thr * pure + (1 - result.v_thr) / n**2
             assert np.max(np.abs(table - target)) <= 1e-8
+
+
+def test_probability_indicator_matches_loop_reference():
+    for dimension, n_alice, n_bob in [(2, 2, 2), (3, 2, 2), (4, 1, 3), (3, 3, 2)]:
+        strategies, indicator, block = threshold._probability_data(dimension, n_alice, n_bob)
+        assert strategies == tuple(enumerate_strategies(dimension, n_alice, n_bob))
+        n = dimension
+        expected = np.zeros((n_alice * n_bob * n * n, len(strategies)))
+        for idx, strat in enumerate(strategies):
+            for i in range(n_alice):
+                for j in range(n_bob):
+                    row = ((i * n_bob + j) * n + strat.alice[i]) * n + strat.bob[j]
+                    expected[row, idx] = 1.0
+        assert np.array_equal(indicator, expected)
+        assert block is indicator
+
+
+def test_drivers_build_each_quantum_table_once(monkeypatch):
+    calls = {"joint_probabilities": 0, "correlation_matrix": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, name, counted)
+    cfg = builtin_config("paper-qutrit")
+    probability_threshold(cfg)
+    assert calls == {"joint_probabilities": cfg.n_alice * cfg.n_bob, "correlation_matrix": 0}
+    correlation_threshold(cfg)
+    assert calls == {"joint_probabilities": 4, "correlation_matrix": 1}
 
 
 def test_visibility_pinned_above_threshold_is_infeasible():
