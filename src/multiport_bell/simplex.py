@@ -1,11 +1,12 @@
 """Dense two-phase simplex for equality-form linear programs.
 
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
-threshold problems in this package rather than generality: deterministic
-pivoting (largest reduced cost, lowest basis index on ties), Bland's rule
-engaged after a stall to guarantee termination, artificial variables pinned
-at zero on redundant rows, and a from-scratch certificate check for any
-reported optimum.
+threshold problems in this package rather than generality: the rows are
+first reduced to an orthonormal basis of A's row space (the threshold LPs
+are rank-deficient), pivoting is deterministic (largest reduced cost,
+largest pivot element on ties), Bland's rule is engaged after a stall to
+guarantee termination, and any reported optimum gets a from-scratch
+certificate check.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-9
+RANK_TOL = 1e-9
 CERTIFICATE_RESIDUAL_TOL = 1e-8
 CERTIFICATE_VARIABLE_TOL = 1e-10
 CERTIFICATE_OBJECTIVE_TOL = 1e-10
@@ -112,29 +114,20 @@ def _pivot(
     basis[row] = col
 
 
-_REFRESH_EVERY = 25
-
-
 def _optimize(
     tableau: np.ndarray,
     basis: np.ndarray,
     n_enterable: int,
     counter: _Counter,
     stall_limit: int,
-    bland: bool,
-    refresh,
     scratch: _Scratch,
 ) -> str:
     """Run simplex iterations until optimality, unboundedness, or the cap."""
     m = basis.size
     best_objective = -math.inf
     stalled = 0
-    since_refresh = 0
+    bland = False
     while True:
-        if since_refresh >= _REFRESH_EVERY:
-            if not refresh():
-                return "singular"
-            since_refresh = 0
         reduced = tableau[-1, :n_enterable]
         if bland:
             positive = np.nonzero(reduced > PIVOT_TOL)[0]
@@ -167,7 +160,6 @@ def _optimize(
             row = int(ties[np.argmax(column[ties])])
         _pivot(tableau, basis, row, col, scratch)
         counter.iterations += 1
-        since_refresh += 1
         objective = -tableau[-1, -1]
         if objective > best_objective + 1e-12:
             best_objective = objective
@@ -185,178 +177,128 @@ def _install_objective(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray
     tableau[-1] = row
 
 
-_VERIFY_ROUNDS = 5
+def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """An orthonormal basis of A's row space as equalities U^T A x = U^T b.
+
+    Returns None when b lies outside A's column space, so that A x = b has
+    no solution at all.
+    """
+    u, singular, _ = np.linalg.svd(a, full_matrices=False)
+    u = u[:, singular > RANK_TOL * singular.max(initial=0.0)]
+    # orient rows so the right-hand side is nonnegative
+    u *= np.where(u.T @ b < 0.0, -1.0, 1.0)
+    rhs = u.T @ b
+    outside = float(np.abs(b - u @ rhs).max(initial=0.0))
+    if outside > RANK_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+        return None
+    return u.T @ a, rhs
 
 
-def _solve_attempt(lp: LinearProgram, counter: _Counter, bland_start: bool) -> LPSolution:
-    """One two-phase run; status "retry" asks the caller to escalate."""
+def solve(lp: LinearProgram) -> LPSolution:
+    """Two-phase simplex on the independent rows; exact status reporting.
+
+    The equalities are first replaced by an orthonormal basis of their row
+    space, so redundant rows never reach the tableau and every phase-1
+    artificial leaves the basis.  Each phase's verdict is re-checked once
+    against a tableau refactorized from that data (basis condition, primal
+    and dual feasibility), and an optimum against the original rows
+    (residual, variable signs): pivot roundoff can end a solve "failed",
+    never with a silently wrong answer.
+    """
     c = lp.objective
     a0 = lp.constraint_matrix
     b0 = lp.rhs
-    m, n = a0.shape
+    n = c.size
+    counter = _Counter()
 
-    # orient rows so the right-hand side is nonnegative
-    sign = np.where(b0 < 0.0, -1.0, 1.0)
-    a = a0 * sign[:, None]
-    b = b0 * sign
+    def unsolved(status: str, detail: str) -> LPSolution:
+        return LPSolution(status, math.nan, None, math.nan, counter.iterations, detail)
 
+    reduced = _row_space(a0, b0)
+    if reduced is None:
+        return unsolved("infeasible", "rhs outside the column space of A")
+    a, b = reduced
+    m = b.size
     total = n + m
-    a_ext = np.hstack([a, np.eye(m)]) if m else a
-    data = np.column_stack([a_ext, b]) if m else None
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :n] = a
-    if m:
-        tableau[:m, n:total] = np.eye(m)
-    tableau[:m, -1] = b
+    a_ext = np.hstack([a, np.eye(m)])
+    data = np.column_stack([a_ext, b])
+    tableau = np.vstack([data, np.zeros(total + 1)])
     basis = np.arange(n, total)
     scratch = _Scratch(m, total + 1)
-    stall_limit = 5 * (m + n)
-    feasibility_tol = 1e-9 * max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+    feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
-    def failed(detail: str) -> LPSolution:
-        return LPSolution("failed", math.nan, None, math.nan, counter.iterations, detail)
+    def refactorize() -> bool:
+        """Rebuild the constraint rows as basis-inverse times the data.
 
-    def refactorize(strict: bool = False) -> bool:
-        """Rebuild the constraint rows as basis-inverse times the original data.
-
-        Returns False when the basis is (near-)singular, so the answer from a
-        meaningless inverse can never be accepted.
+        Returns False when the basis is ill-conditioned, so the answer from
+        a meaningless inverse can never be accepted.
         """
-        if not m:
-            return True
         matrix = a_ext[:, basis]
         try:
             fresh = np.linalg.solve(matrix, data)
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.isfinite(fresh)) or float(np.max(np.abs(fresh))) > 1e8:
+        if not np.isfinite(fresh).all() or np.abs(fresh).max(initial=0.0) > 1e8:
             return False
-        if strict:
-            # fresh[:, n:total] is the basis inverse, so the infinity-norm
-            # condition number is available without extra factorizations
-            cond = float(
-                np.abs(matrix).sum(axis=1).max()
-                * np.abs(fresh[:, n:total]).sum(axis=1).max()
-            )
-            if cond > 1e12:
-                return False
-        tableau[:m, :] = fresh
+        # fresh[:, n:total] is the basis inverse, so the infinity-norm
+        # condition number is available without extra factorizations
+        cond = float(
+            np.abs(matrix).sum(axis=1).max(initial=0.0)
+            * np.abs(fresh[:, n:total]).sum(axis=1).max(initial=0.0)
+        )
+        if cond > 1e12:
+            return False
+        tableau[:m] = fresh
         return True
 
     def optimize_verified(costs: np.ndarray) -> str:
-        """Optimize, then re-check the verdict against refactorized data."""
-
-        def refresh() -> bool:
-            if not refactorize():
-                return False
-            _install_objective(tableau, basis, costs)
-            return True
-
-        for _ in range(_VERIFY_ROUNDS):
-            _install_objective(tableau, basis, costs)
-            status = _optimize(
-                tableau, basis, n, counter, stall_limit, bland_start, refresh, scratch
-            )
-            if status == "cap":
-                return "cap"
-            if status == "singular":
-                return "singular"
-            if not refactorize(strict=True):
-                return "singular"
-            _install_objective(tableau, basis, costs)
-            if not m:
-                return status
-            if float(np.min(tableau[:m, -1])) < -feasibility_tol:
-                return "primal"
-            reduced = tableau[-1, :n]
-            if status == "unbounded":
-                col = int(np.argmax(reduced))
-                if reduced[col] > PIVOT_TOL and float(np.max(tableau[:m, col])) <= PIVOT_TOL:
-                    return "unbounded"
-            elif float(np.max(reduced)) <= PIVOT_TOL:
-                return "optimal"
-            # fresh data disagrees with the drifted tableau; optimize again
-        return "drift"
-
-    if m:
-        phase1_costs = np.concatenate([np.zeros(n), -np.ones(m)])
-        status = optimize_verified(phase1_costs)
+        """Optimize, then check the verdict once against refactorized data."""
+        _install_objective(tableau, basis, costs)
+        status = _optimize(tableau, basis, n, counter, 5 * (m + n), scratch)
         if status == "cap":
-            return failed(f"iteration cap {ITERATION_CAP} hit in phase 1")
-        if status in ("singular", "primal", "drift", "unbounded"):
-            return LPSolution(
-                "retry", math.nan, None, math.nan, counter.iterations, f"phase 1 {status}"
-            )
-        artificial_sum = float(tableau[:m, -1][basis >= n].sum())
-        if artificial_sum > feasibility_tol:
-            return LPSolution(
-                "infeasible",
-                math.nan,
-                None,
-                math.nan,
-                counter.iterations,
-                f"artificial residue {artificial_sum:.3e}",
-            )
-        # drive artificials out of the basis via the largest available pivot;
-        # rows without one are redundant and keep their artificial at zero
-        for row in range(m):
-            if basis[row] < n:
-                continue
-            entries = np.abs(tableau[row, :n])
-            col = int(np.argmax(entries))
-            if entries[col] > 1e-7:
-                _pivot(tableau, basis, row, col, scratch)
-                counter.iterations += 1
+            return f"iteration cap {ITERATION_CAP} hit"
+        if not refactorize():
+            return "ill-conditioned basis on refactorization"
+        _install_objective(tableau, basis, costs)
+        if float(tableau[:m, -1].min(initial=0.0)) < -feasibility_tol:
+            return "primal infeasible on refactorization"
+        improving = tableau[-1, :n] > PIVOT_TOL
+        if status == "unbounded":
+            rays = improving & np.all(tableau[:m, :n] <= PIVOT_TOL, axis=0)
+            return "unbounded" if rays.any() else "ray lost on refactorization"
+        return "optimal" if not improving.any() else "dual infeasible on refactorization"
 
-    phase2_costs = np.concatenate([c, np.zeros(m)])
-    status = optimize_verified(phase2_costs)
-    if status == "cap":
-        return failed(f"iteration cap {ITERATION_CAP} hit in phase 2")
+    status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
+    if status != "optimal":
+        return unsolved("failed", f"phase 1 {status}")
+    artificial_sum = float(tableau[:m, -1][basis >= n].sum())
+    if artificial_sum > feasibility_tol:
+        return unsolved("infeasible", f"artificial residue {artificial_sum:.3e}")
+    # the rows are independent, so every artificial left at zero has a
+    # structural column to pivot on; take the largest entry
+    for row in np.nonzero(basis >= n)[0]:
+        entries = np.abs(tableau[row, :n])
+        col = int(np.argmax(entries))
+        if entries[col] <= 1e-7:
+            return unsolved("failed", f"no pivot for the artificial on row {row}")
+        _pivot(tableau, basis, row, col, scratch)
+        counter.iterations += 1
+
+    status = optimize_verified(np.concatenate([c, np.zeros(m)]))
     if status == "unbounded":
         return LPSolution("unbounded", math.inf, None, math.nan, counter.iterations, "")
     if status != "optimal":
-        return LPSolution(
-            "retry", math.nan, None, math.nan, counter.iterations, f"phase 2 {status}"
-        )
+        return unsolved("failed", f"phase 2 {status}")
 
     x_full = np.zeros(total)
     x_full[basis] = tableau[:m, -1]
     x = x_full[:n].copy()
-    residual = float(np.max(np.abs(a0 @ x - b0))) if m else 0.0
-    if x.size and float(x.min()) < -CERTIFICATE_VARIABLE_TOL:
-        return LPSolution(
-            "retry", math.nan, None, math.nan, counter.iterations, "negative variable"
-        )
+    residual = float(np.abs(a0 @ x - b0).max(initial=0.0))
+    if float(x.min(initial=0.0)) < -CERTIFICATE_VARIABLE_TOL:
+        return unsolved("failed", "negative variable")
     if residual > CERTIFICATE_RESIDUAL_TOL:
-        return LPSolution(
-            "retry", math.nan, None, math.nan, counter.iterations, f"residual {residual:.3e}"
-        )
+        return unsolved("failed", f"residual {residual:.3e}")
     return LPSolution("optimal", float(c @ x), x, residual, counter.iterations)
-
-
-def solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase simplex; returns a solution with exact status reporting.
-
-    Every claimed verdict is re-checked against a tableau refactorized from
-    the original data (dual and primal feasibility), so pivot roundoff can
-    cost extra iterations but never a silently wrong answer.  If the default
-    pivot rule fails verification, one full retry runs with Bland's rule
-    from the first iteration before the solver reports failure.
-    """
-    counter = _Counter()
-    solution = _solve_attempt(lp, counter, bland_start=False)
-    if solution.status == "retry":
-        solution = _solve_attempt(lp, counter, bland_start=True)
-        if solution.status == "retry":
-            return LPSolution(
-                "failed",
-                math.nan,
-                None,
-                math.nan,
-                solution.iterations,
-                f"verification failed twice: {solution.detail}",
-            )
-    return solution
 
 
 def check_certificate(lp: LinearProgram, solution: LPSolution) -> CertificateReport:

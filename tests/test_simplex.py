@@ -148,9 +148,24 @@ def test_random_feasible_property_suite():
 
 def test_against_scipy_on_random_instances():
     rng = np.random.default_rng(20260815)
+    mixer = np.random.default_rng(20260816)
     for _ in range(100):
         lp, _, _ = random_feasible_lp(rng)
         sol = solve(lp)
         status, reference = scipy_value(lp)
         assert sol.status == "optimal" and status == 0
         assert sol.objective_value == pytest.approx(reference, abs=1e-7)
+        # appended rows that combine the rows leave the LP rank-deficient
+        mix = mixer.normal(size=(int(mixer.integers(1, 4)), lp.n_rows))
+        a = np.vstack([lp.constraint_matrix, mix @ lp.constraint_matrix])
+        b = np.concatenate([lp.rhs, mix @ lp.rhs])
+        redundant = LinearProgram(lp.objective, a, b)
+        sol = solve(redundant)
+        status, reference = scipy_value(redundant)
+        assert sol.status == "optimal" and status == 0
+        assert sol.objective_value == pytest.approx(reference, abs=1e-7)
+        assert check_certificate(redundant, sol).passed
+        b[-1] += 1e-3 * (1.0 + abs(b[-1]))
+        inconsistent = LinearProgram(lp.objective, a, b)
+        assert solve(inconsistent).status == "infeasible"
+        assert scipy_value(inconsistent)[0] == 2

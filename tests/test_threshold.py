@@ -175,8 +175,10 @@ def test_uniform_statistics_admit_full_visibility():
 
 
 def test_thresholds_match_scipy_reference():
-    for name in ("paper-qutrit", "chsh-qubit"):
-        cfg = builtin_config(name)
+    rng = np.random.default_rng(20260816)
+    configs = [builtin_config(name) for name in ("paper-qutrit", "chsh-qubit")]
+    configs += [random_config(rng, dimension) for dimension in (4, 4, 4, 5, 5, 5)]
+    for cfg in configs:
         for build in (correlation_lp, probability_lp):
             lp, _ = build(cfg)
             mine = solve(lp)
@@ -198,6 +200,13 @@ def test_scan_validation():
         scan(3, 0, 0)
     with pytest.raises(ValueError):
         scan(3, 1, 0, method="nope")
+
+
+def test_probability_scan_has_no_failed_restart():
+    # restart 1 of this seed meets a rank-deficient LP on which a solver that
+    # kept the dependent rows ended "failed", recording NaN
+    history = scan(3, 2, 8, "prob").history
+    assert not any(math.isnan(f) for _, f in history)
 
 
 def test_scan_deterministic_repeat():
