@@ -3,15 +3,17 @@
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
 threshold problems in this package rather than generality: the rows are
 first reduced to an orthonormal basis of A's row space (the threshold LPs
-are rank-deficient), pivoting is deterministic (largest reduced cost,
-largest pivot element on ties), Bland's rule is engaged after a stall to
-guarantee termination, and any reported optimum gets a from-scratch
-certificate check.
+are rank-deficient), a feasible starting basis named by the caller skips
+phase 1, pivoting is deterministic (largest reduced cost, largest pivot
+element on ties), Bland's rule is engaged after a stall to guarantee
+termination, and any reported optimum gets a from-scratch certificate check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,7 @@ class LPSolution:
     max_residual: float
     iterations: int
     detail: str = ""
+    basis: tuple[int, ...] | None = None  # structural columns, when optimal
 
 
 @dataclass
@@ -127,6 +130,8 @@ def _optimize(
     best_objective = -math.inf
     stalled = 0
     bland = False
+    if n_enterable == 0:
+        return "optimal"
     while True:
         reduced = tableau[-1, :n_enterable]
         if bland:
@@ -194,7 +199,7 @@ def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
     return u.T @ a, rhs
 
 
-def solve(lp: LinearProgram) -> LPSolution:
+def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolution:
     """Two-phase simplex on the independent rows; exact status reporting.
 
     The equalities are first replaced by an orthonormal basis of their row
@@ -204,12 +209,21 @@ def solve(lp: LinearProgram) -> LPSolution:
     and dual feasibility), and an optimum against the original rows
     (residual, variable signs): pivot roundoff can end a solve "failed",
     never with a silently wrong answer.
+
+    ``start`` (distinct structural columns, else ValueError) replaces phase 1
+    if it has one column per independent row, passes the strict refactorization
+    and leaves no basic value below -feasibility_tol; else it is ignored.  An
+    optimal solution carries its ``basis``, a start for LPs with the same A, b.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
     b0 = lp.rhs
     n = c.size
     counter = _Counter()
+    if start is not None:
+        start = np.array([operator.index(j) for j in start], dtype=int)
+        if np.unique(start).size != start.size or not np.all((start >= 0) & (start < n)):
+            raise ValueError(f"start must name distinct columns in 0..{n - 1}")
 
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, counter.iterations, detail)
@@ -268,21 +282,30 @@ def solve(lp: LinearProgram) -> LPSolution:
             return "unbounded" if rays.any() else "ray lost on refactorization"
         return "optimal" if not improving.any() else "dual infeasible on refactorization"
 
-    status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
-    if status != "optimal":
-        return unsolved("failed", f"phase 1 {status}")
-    artificial_sum = float(tableau[:m, -1][basis >= n].sum())
-    if artificial_sum > feasibility_tol:
-        return unsolved("infeasible", f"artificial residue {artificial_sum:.3e}")
-    # the rows are independent, so every artificial left at zero has a
-    # structural column to pivot on; take the largest entry
-    for row in np.nonzero(basis >= n)[0]:
-        entries = np.abs(tableau[row, :n])
-        col = int(np.argmax(entries))
-        if entries[col] <= 1e-7:
-            return unsolved("failed", f"no pivot for the artificial on row {row}")
-        _pivot(tableau, basis, row, col, scratch)
-        counter.iterations += 1
+    def accepts(columns: np.ndarray) -> bool:
+        basis[:] = columns
+        if refactorize() and float(tableau[:m, -1].min(initial=0.0)) >= -feasibility_tol:
+            return True
+        basis[:] = np.arange(n, total)
+        tableau[:m] = data
+        return False
+
+    if start is None or start.size != m or not accepts(start):
+        status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
+        if status != "optimal":
+            return unsolved("failed", f"phase 1 {status}")
+        artificial_sum = float(tableau[:m, -1][basis >= n].sum())
+        if artificial_sum > feasibility_tol:
+            return unsolved("infeasible", f"artificial residue {artificial_sum:.3e}")
+        # the rows are independent, so every artificial left at zero has a
+        # structural column to pivot on; take the largest entry
+        for row in np.nonzero(basis >= n)[0]:
+            entries = np.abs(tableau[row, :n])
+            col = int(np.argmax(entries))
+            if entries[col] <= 1e-7:
+                return unsolved("failed", f"no pivot for the artificial on row {row}")
+            _pivot(tableau, basis, row, col, scratch)
+            counter.iterations += 1
 
     status = optimize_verified(np.concatenate([c, np.zeros(m)]))
     if status == "unbounded":
@@ -298,7 +321,8 @@ def solve(lp: LinearProgram) -> LPSolution:
         return unsolved("failed", "negative variable")
     if residual > CERTIFICATE_RESIDUAL_TOL:
         return unsolved("failed", f"residual {residual:.3e}")
-    return LPSolution("optimal", float(c @ x), x, residual, counter.iterations)
+    final = tuple(basis.tolist())
+    return LPSolution("optimal", float(c @ x), x, residual, counter.iterations, "", final)
 
 
 def check_certificate(lp: LinearProgram, solution: LPSolution) -> CertificateReport:

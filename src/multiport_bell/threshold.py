@@ -173,10 +173,26 @@ def _problem(config: ExperimentConfig, statistics, pin_visibility: float | None)
     return LinearProgram(c, a, b), strategies, table, point, offset
 
 
+_START_BASES: dict[tuple, tuple[int, ...]] = {}
+
+
+def _start_basis(key: tuple, lp: LinearProgram, k: int) -> tuple[int, ...]:
+    """A feasible V=0 basis of every threshold LP with this (statistics, N,
+    n_alice, n_bob) key: only column k (V) depends on the phases, so the LP
+    without it, and its basis of strategy columns and the cap slack, are the
+    same for every config of the shape, whichever comes first."""
+    if key not in _START_BASES:
+        a = np.delete(lp.constraint_matrix, k, axis=1)
+        fixed = LinearProgram(np.zeros(k + 1), a, lp.rhs)
+        _START_BASES[key] = tuple(j + (j >= k) for j in solve(fixed).basis or ())
+    return _START_BASES[key]
+
+
 def _threshold(config: ExperimentConfig, method: str, statistics) -> ThresholdResult:
     """Solve the LP and read V, the weights and the residual off its arrays."""
     lp, strategies, table, point, offset = _problem(config, statistics, None)
-    solution = solve(lp)
+    key = (statistics, config.dimension, config.n_alice, config.n_bob)
+    solution = solve(lp, start=_start_basis(key, lp, len(strategies)))
     if solution.status != "optimal":
         raise SolverFailure(
             f"threshold LP ended with status {solution.status}: {solution.detail}"

@@ -52,6 +52,14 @@ def test_zero_constraint_lp():
     assert check_certificate(bounded, sol).passed
     unbounded = LinearProgram([1.0], np.zeros((0, 1)), [])
     assert solve(unbounded).status == "unbounded"
+    for empty in (
+        LinearProgram([], np.zeros((2, 0)), [0.0, 0.0]),
+        LinearProgram([], np.zeros((0, 0)), []),
+    ):
+        sol = solve(empty)
+        assert sol.status == "optimal"
+        assert sol.x.size == 0 and sol.objective_value == 0.0
+        assert check_certificate(empty, sol).passed
 
 
 def test_redundant_rows_tolerated():
@@ -122,6 +130,24 @@ def test_certificate_requires_optimal():
         check_certificate(lp, solve(lp))
 
 
+def test_rejected_start_solves_as_without_one():
+    # columns 0 and 1 coincide; from (0, 2) the basic value of x2 is -1
+    lp = LinearProgram(
+        [1.0, 2.0, 0.0, 0.0], [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]], [1.0, 2.0]
+    )
+    cold = solve(lp)
+    assert cold.status == "optimal" and cold.objective_value == pytest.approx(2.0)
+    for start in ([0], [0, 2, 3], [0, 1], [0, 2]):
+        sol = solve(lp, start=start)
+        assert sol.status == cold.status
+        assert sol.objective_value == cold.objective_value
+        assert sol.iterations == cold.iterations
+        assert np.array_equal(sol.x, cold.x)
+    for start in ([0, 4], [-1, 2], [2, 2]):
+        with pytest.raises(ValueError):
+            solve(lp, start=start)
+
+
 def test_degenerate_cycling_prone_lp_terminates():
     # Beale's classic example, rewritten in equality form with slacks
     a = np.array(
@@ -155,6 +181,10 @@ def test_against_scipy_on_random_instances():
         status, reference = scipy_value(lp)
         assert sol.status == "optimal" and status == 0
         assert sol.objective_value == pytest.approx(reference, abs=1e-7)
+        again = solve(lp, start=sol.basis)
+        assert again.status == "optimal" and again.iterations == 0
+        assert again.objective_value == sol.objective_value
+        assert check_certificate(lp, again).passed
         # appended rows that combine the rows leave the LP rank-deficient
         mix = mixer.normal(size=(int(mixer.integers(1, 4)), lp.n_rows))
         a = np.vstack([lp.constraint_matrix, mix @ lp.constraint_matrix])

@@ -178,8 +178,12 @@ def test_thresholds_match_scipy_reference():
     rng = np.random.default_rng(20260816)
     configs = [builtin_config(name) for name in ("paper-qutrit", "chsh-qubit")]
     configs += [random_config(rng, dimension) for dimension in (4, 4, 4, 5, 5, 5)]
+    driver_iterations = plain_iterations = 0
     for cfg in configs:
-        for build in (correlation_lp, probability_lp):
+        for build, driver in (
+            (correlation_lp, correlation_threshold),
+            (probability_lp, probability_threshold),
+        ):
             lp, _ = build(cfg)
             mine = solve(lp)
             reference = linprog(
@@ -191,6 +195,35 @@ def test_thresholds_match_scipy_reference():
             )
             assert mine.status == "optimal" and reference.status == 0
             assert mine.objective_value == pytest.approx(-reference.fun, abs=1e-7)
+            # the driver starts from the cached V=0 basis, skipping phase 1
+            result = driver(cfg)
+            assert result.v_thr == pytest.approx(-reference.fun, abs=1e-7)
+            driver_iterations += result.lp_iterations
+            plain_iterations += mine.iterations
+    assert driver_iterations < plain_iterations
+
+
+def test_thresholds_independent_of_start_cache_state():
+    rng = np.random.default_rng(20261018)
+    cfg = random_config(rng, 3)
+    # another N=3 config fills the cache from its own LP first
+    others = [random_config(rng, dimension) for dimension in (2, 3, 4)]
+
+    def results():
+        return [
+            (r.v_thr, r.weights, r.residual, r.lp_iterations)
+            for r in (probability_threshold(cfg), correlation_threshold(cfg))
+        ]
+
+    threshold._START_BASES.clear()
+    cold = results()
+    warm = results()
+    threshold._START_BASES.clear()
+    for other in others:
+        probability_threshold(other)
+        correlation_threshold(other)
+    after_others = results()
+    assert cold == warm == after_others
 
 
 def test_scan_validation():
