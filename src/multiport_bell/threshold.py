@@ -9,6 +9,13 @@ visibility V = 1 - F as an LP variable capped at 1:
 * probability matching equates the full coincidence tables with the
   noise-mixed quantum tables V*P0 + (1 - V)/N**2.
 
+Every coincidence table depends on a + b mod N only, so shifting all of
+Alice's outcomes by c and all of Bob's by -c fixes the quantum point.
+Averaging a local mixture over these shifts keeps it a solution, so
+``probability_threshold`` solves the same LP over the shift orbits (the
+canonical strategies), matching the distribution of alice[i] + bob[j] mod N;
+``probability_lp`` still builds the LP over every strategy and table entry.
+
 Thresholds always mix from the noiseless quantum point; pre-mixed targets
 are not accepted anywhere.  ``scan`` searches phase settings for the
 largest threshold with seeded random restarts and coordinate descent.
@@ -26,9 +33,11 @@ from .quantum import ExperimentConfig, correlation_matrix, joint_probabilities
 from .simplex import LinearProgram, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
+    canonicalize,
     distinct_matrices,
     enumerate_strategies,
     outcome_arrays,
+    strategy_exponents,
     strategy_values,
 )
 
@@ -121,11 +130,48 @@ def _probability_data(
     return strategies, indicator, indicator
 
 
+@lru_cache(maxsize=None)
+def _symmetric_data(
+    dimension: int, n_alice: int, n_bob: int
+) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
+    """Canonical strategies and the indicators of their exponents, one column each.
+
+    Row (i*n_bob + j)*N + s is 1 where alice[i] + bob[j] = s mod N.  The N
+    rows of a settings pair sum to the all-ones row, so the LP block drops
+    their s = N - 1 row, which the sum-to-one row implies, and has full row
+    rank.
+    """
+    strategies = _correlation_data(dimension, n_alice, n_bob)[0]
+    pair = np.arange(n_alice)[:, None] * n_bob + np.arange(n_bob)[None, :]
+    rows = pair * dimension + strategy_exponents(strategies, dimension)
+    indicator = np.zeros((n_alice * n_bob * dimension, len(strategies)))
+    indicator[rows.reshape(len(strategies), -1).T, np.arange(len(strategies))] = 1.0
+    block = indicator[np.arange(len(indicator)) % dimension != dimension - 1]
+    return strategies, _frozen(indicator), _frozen(block)
+
+
+@lru_cache(maxsize=None)
+def _shift_orbits(
+    dimension: int, n_alice: int, n_bob: int
+) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray]:
+    """Every strategy and the column of its shift orbit in ``_symmetric_data``."""
+    strategies = tuple(enumerate_strategies(dimension, n_alice, n_bob))
+    column = {s: k for k, s in enumerate(_symmetric_data(dimension, n_alice, n_bob)[0])}
+    orbits = np.array([column[canonicalize(s, dimension)] for s in strategies])
+    return strategies, _frozen(orbits)
+
+
+# Each statistics(config) gives the strategies, their table (one column per
+# strategy), the LP block, the quantum point the table matches, the part of
+# it the block rows match and the offset.
+
+
 def _correlation_statistics(config: ExperimentConfig):
     """Correlation matching: the strategy values against the noiseless
-    correlation matrix, offset 0."""
+    correlation matrix, offset 0; the block matches real and imaginary parts."""
     data = _correlation_data(config.dimension, config.n_alice, config.n_bob)
-    return (*data, correlation_matrix(config).reshape(-1), 0.0)
+    point = correlation_matrix(config).reshape(-1)
+    return (*data, point, np.concatenate([point.real, point.imag]), 0.0)
 
 
 def _probability_statistics(config: ExperimentConfig):
@@ -139,20 +185,31 @@ def _probability_statistics(config: ExperimentConfig):
             for j in range(config.n_bob)
         ]
     )
-    return (*data, pure, 1.0 / config.dimension**2)
+    return (*data, pure, pure, 1.0 / config.dimension**2)
+
+
+def _symmetric_statistics(config: ExperimentConfig):
+    """Probability matching over shift orbits: the exponent indicators against
+    N*P0(0, s) = N*P0(a, b) for every a + b = s mod N, offset 1/N."""
+    data = _symmetric_data(config.dimension, config.n_alice, config.n_bob)
+    n = config.dimension
+    point = n * np.concatenate(
+        [
+            joint_probabilities(config, i, j)[0]
+            for i in range(config.n_alice)
+            for j in range(config.n_bob)
+        ]
+    )
+    return (*data, point, point[np.arange(point.size) % n != n - 1], 1.0 / n)
 
 
 def _problem(config: ExperimentConfig, statistics, pin_visibility: float | None):
     """The threshold LP of one method, with the arrays it was built from.
 
-    ``statistics(config)`` gives the strategies, their table (one column per
-    strategy), the LP block holding that table, the quantum point and the
-    offset.  A strategy mixture p must equal V*point + (1 - V)*offset row by
-    row; complex rows are matched by their real and imaginary parts.
+    A strategy mixture p must give block @ p = V*matched + (1 - V)*offset.
     Variables are [p_1 .. p_K, V, slack]; the cap row reads V + slack = 1.
     """
-    strategies, table, block, point, offset = statistics(config)
-    matched = np.concatenate([point.real, point.imag]) if np.iscomplexobj(point) else point
+    strategies, table, block, point, matched, offset = statistics(config)
     rows, k = block.shape
     extra = 2 + (pin_visibility is not None)
     a = np.zeros((rows + extra, k + 2))
@@ -188,8 +245,15 @@ def _start_basis(key: tuple, lp: LinearProgram, k: int) -> tuple[int, ...]:
     return _START_BASES[key]
 
 
-def _threshold(config: ExperimentConfig, method: str, statistics) -> ThresholdResult:
-    """Solve the LP and read V, the weights and the residual off its arrays."""
+def _threshold(
+    config: ExperimentConfig, method: str, statistics, orbits: bool = False
+) -> ThresholdResult:
+    """Solve the LP and read V, the weights and the residual off its arrays.
+
+    With ``orbits`` the columns are shift orbits: each orbit's weight goes as
+    w/N to each of its N members, a mixture whose full coincidence tables are
+    the orbit rows divided by N.
+    """
     lp, strategies, table, point, offset = _problem(config, statistics, None)
     key = (statistics, config.dimension, config.n_alice, config.n_bob)
     solution = solve(lp, start=_start_basis(key, lp, len(strategies)))
@@ -200,9 +264,14 @@ def _threshold(config: ExperimentConfig, method: str, statistics) -> ThresholdRe
     k = len(strategies)
     weights = solution.x[:k]
     v = float(min(max(solution.x[k], 0.0), 1.0))
-    # over the table, not the LP block: a complex entry's residual is its modulus
+    # over the table, not the LP block: a complex entry's residual is its
+    # modulus, and rows the block drops count too
     target = v * point + (1.0 - v) * offset
     residual = float(np.max(np.abs(table @ weights - target)))
+    if orbits:
+        strategies, members = _shift_orbits(config.dimension, config.n_alice, config.n_bob)
+        weights = weights[members] / config.dimension
+        residual /= config.dimension
     return ThresholdResult(
         method,
         config.dimension,
@@ -234,8 +303,9 @@ def correlation_threshold(config: ExperimentConfig) -> ThresholdResult:
 
 
 def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
-    """Critical visibility and noise threshold from full-statistics matching."""
-    return _threshold(config, "probability", _probability_statistics)
+    """Critical visibility and noise threshold from full-statistics matching,
+    solved over the shift orbits; the weights are uniform on every orbit."""
+    return _threshold(config, "probability", _symmetric_statistics, orbits=True)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

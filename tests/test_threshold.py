@@ -7,7 +7,12 @@ from scipy.optimize import linprog
 from multiport_bell import threshold
 from multiport_bell.quantum import ExperimentConfig, correlation_matrix, joint_probabilities
 from multiport_bell.simplex import check_certificate, solve
-from multiport_bell.strategies import enumerate_strategies, strategy_values
+from multiport_bell.strategies import (
+    canonicalize,
+    distinct_matrices,
+    enumerate_strategies,
+    strategy_values,
+)
 from multiport_bell.threshold import (
     builtin_config,
     correlation_lp,
@@ -22,8 +27,20 @@ F_QUTRIT = (11 - 6 * math.sqrt(3)) / 2
 V_QUBIT = 1 / math.sqrt(2)
 
 
-def random_config(rng, dimension):
-    phases = rng.uniform(0, 2 * np.pi, size=(4, dimension))
+def random_config(rng, dimension, n_alice=2, n_bob=2):
+    phases = rng.uniform(0, 2 * np.pi, size=(n_alice + n_bob, dimension))
+    return ExperimentConfig(
+        dimension, tuple(map(tuple, phases[:n_alice])), tuple(map(tuple, phases[n_alice:]))
+    )
+
+
+def near_optimal_config(rng, dimension):
+    """Port k of each setting shifted by k times 0, pi/N (Alice) and +-pi/2N
+    (Bob), as in the optimal settings, plus seeded noise: violates local
+    realism at every N, unlike most uniform draws at N >= 4."""
+    ports = np.arange(dimension)
+    slopes = np.array([0.0, 1.0, 0.5, -0.5]) * math.pi / dimension
+    phases = np.outer(slopes, ports) + rng.normal(0.0, 0.2, size=(4, dimension))
     return ExperimentConfig(dimension, tuple(map(tuple, phases[:2])), tuple(map(tuple, phases[2:])))
 
 
@@ -128,6 +145,87 @@ def test_probability_indicator_matches_loop_reference():
                     expected[row, idx] = 1.0
         assert np.array_equal(indicator, expected)
         assert block is indicator
+
+
+def test_symmetric_indicator_matches_loop_reference():
+    for dimension, n_alice, n_bob in [(2, 2, 2), (3, 2, 2), (4, 1, 3), (3, 3, 2)]:
+        strategies, indicator, block = threshold._symmetric_data(dimension, n_alice, n_bob)
+        everything = enumerate_strategies(dimension, n_alice, n_bob)
+        assert strategies == distinct_matrices(everything, dimension)
+        n = dimension
+        expected = np.zeros((n_alice * n_bob * n, len(strategies)))
+        for idx, strat in enumerate(strategies):
+            for i in range(n_alice):
+                for j in range(n_bob):
+                    row = (i * n_bob + j) * n + (strat.alice[i] + strat.bob[j]) % n
+                    expected[row, idx] = 1.0
+        assert np.array_equal(indicator, expected)
+        kept = [row for row in range(len(expected)) if row % n != n - 1]
+        assert np.array_equal(block, expected[kept])
+        labels, orbits = threshold._shift_orbits(dimension, n_alice, n_bob)
+        assert labels == tuple(everything)
+        assert [strategies[k] for k in orbits] == [canonicalize(s, n) for s in everything]
+
+
+def test_symmetric_threshold_matches_full_lp():
+    rng = np.random.default_rng(20261019)
+    dimensions = (2, 2, 3, 3, 4, 4, 5, 5, 6, 6)
+    configs = [random_config(rng, n) for n in dimensions]
+    configs += [near_optimal_config(rng, n) for n in dimensions]
+    configs += [random_config(rng, 4, 3, 2) for _ in range(3)]
+    below_correlation = 0
+    for cfg in configs:
+        lp, _ = probability_lp(cfg)
+        full = solve(lp)
+        assert full.status == "optimal"
+        v_prob = probability_threshold(cfg).v_thr
+        assert abs(v_prob - min(full.objective_value, 1.0)) <= 1e-12
+        below_correlation += v_prob < correlation_threshold(cfg).v_thr - 1e-6
+    # the set holds configs where the two methods differ
+    assert below_correlation >= 1
+
+
+def test_qutrit_probability_equals_correlation():
+    # at N=3 the orbit LP is the correlation LP: harmonic 2 is the conjugate of
+    # harmonic 1, so matching the exponent distribution matches the correlations
+    rng = np.random.default_rng(20261020)
+    configs = [random_config(rng, 3) for _ in range(40)]
+    configs += [random_config(rng, 3, 3, 3) for _ in range(8)]
+    for cfg in configs:
+        gap = abs(correlation_threshold(cfg).v_thr - probability_threshold(cfg).v_thr)
+        assert gap <= 1e-12
+    # not so at N=4, which keeps the identity from holding vacuously
+    gaps = []
+    for _ in range(20):
+        cfg = random_config(rng, 4)
+        gaps.append(correlation_threshold(cfg).v_thr - probability_threshold(cfg).v_thr)
+    assert max(gaps) > 1e-3
+
+
+def test_probability_weights_cover_every_strategy_uniformly_per_orbit():
+    rng = np.random.default_rng(20261021)
+    # the first seeded N=4 config that violates local realism, so the tables are mixed
+    violating = (random_config(rng, 4) for _ in range(50))
+    mixed = next(cfg for cfg in violating if correlation_threshold(cfg).v_thr < 1.0 - 1e-6)
+    for cfg in (builtin_config("paper-qutrit"), mixed):
+        n = cfg.dimension
+        result = probability_threshold(cfg)
+        everything = enumerate_strategies(n, cfg.n_alice, cfg.n_bob)
+        assert len(everything) == n ** (cfg.n_alice + cfg.n_bob)
+        assert list(result.weights) == everything
+        assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        orbits = {}
+        for strategy, weight in result.weights.items():
+            orbits.setdefault(canonicalize(strategy, n), []).append(weight)
+        assert all(len(set(members)) == 1 and len(members) == n for members in orbits.values())
+    # every full coincidence table of the N=4 config
+    for i in range(cfg.n_alice):
+        for j in range(cfg.n_bob):
+            table = np.zeros((n, n))
+            for strategy, weight in result.weights.items():
+                table[strategy.alice[i], strategy.bob[j]] += weight
+            target = result.v_thr * joint_probabilities(cfg, i, j) + (1 - result.v_thr) / n**2
+            assert np.max(np.abs(table - target)) <= 1e-8
 
 
 def test_drivers_build_each_quantum_table_once(monkeypatch):
