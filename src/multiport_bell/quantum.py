@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -118,25 +119,71 @@ def _setting_pair(
     )
 
 
+@lru_cache(maxsize=None)
+def _fourier_phases(dimension: int) -> np.ndarray:
+    """gamma**(s*m), indexed (s, m); read-only, shared by every caller."""
+    m = np.arange(dimension)
+    phases = np.exp(2j * np.pi / dimension * np.outer(m, m))
+    phases.setflags(write=False)
+    return phases
+
+
+def _port_terms(
+    config: ExperimentConfig, alice_index: int, bob_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier phases gamma**(s*m), indexed (s, m), and exp(i*(phi_m + theta_m))."""
+    phi, theta = _setting_pair(config, alice_index, bob_index)
+    return _fourier_phases(config.dimension), np.exp(1j * (phi + theta))
+
+
+def pure_coincidences(
+    config: ExperimentConfig, alice_index: int, bob_index: int
+) -> np.ndarray:
+    """Noiseless coincidence probability by outcome sum for one settings pair.
+
+    Entry s is P(a, b) for every a + b = s mod N (the Born rule)
+    |sum_m gamma**(m*s) * exp(i*(phi_m + theta_m))|**2 / N**3.
+    """
+    fourier, local = _port_terms(config, alice_index, bob_index)
+    return np.abs(fourier @ local) ** 2 / config.dimension**3
+
+
+def pure_coincidence_derivatives(
+    config: ExperimentConfig, alice_index: int, bob_index: int
+) -> np.ndarray:
+    """Entry (s, m) is the derivative of ``pure_coincidences`` entry s by port
+    m's phase of either setting; only phi_m + theta_m enters."""
+    fourier, local = _port_terms(config, alice_index, bob_index)
+    terms = fourier * local
+    amplitudes = terms.sum(axis=1)
+    return -2.0 * np.imag(amplitudes.conj()[:, None] * terms) / config.dimension**3
+
+
 def joint_probabilities(
     config: ExperimentConfig, alice_index: int, bob_index: int, noise: float = 0.0
 ) -> np.ndarray:
     """N x N coincidence table for one settings pair.
 
     Entry (a, b) is the probability that Alice's detector a and Bob's
-    detector b fire.  The pure-state term is
-    |sum_m gamma**(m*(a+b)) * exp(i*(phi_m + theta_m))|**2 / N**3,
+    detector b fire: the pure-state term ``pure_coincidences[a + b mod N]``
     mixed with the uniform table by the chaotic fraction ``noise``.
     """
     _require_noise(noise)
-    phi, theta = _setting_pair(config, alice_index, bob_index)
+    pure = pure_coincidences(config, alice_index, bob_index)
     n = config.dimension
-    local = np.exp(1j * (phi + theta))
     m = np.arange(n)
-    amplitudes = np.exp(2j * np.pi / n * np.outer(m, m)) @ local
-    pure = np.abs(amplitudes) ** 2 / n**3
     table = (1.0 - noise) * pure[np.add.outer(m, m) % n] + noise / n**2
     return np.maximum(table, 0.0)
+
+
+def _cyclic_terms(
+    config: ExperimentConfig, alice_index: int, bob_index: int
+) -> np.ndarray:
+    """exp(i*delta_m), delta_m = phi_m - phi_{m+1} + theta_m - theta_{m+1} mod N."""
+    phi, theta = _setting_pair(config, alice_index, bob_index)
+    following = (np.arange(config.dimension) + 1) % config.dimension
+    delta = (phi - phi[following]) + (theta - theta[following])
+    return np.exp(1j * delta)
 
 
 def correlation_value(
@@ -149,9 +196,17 @@ def correlation_value(
     with indices mod N.
     """
     _require_noise(noise)
-    phi, theta = _setting_pair(config, alice_index, bob_index)
-    delta = (phi - np.roll(phi, -1)) + (theta - np.roll(theta, -1))
-    return (1.0 - noise) * complex(np.exp(1j * delta).sum() / config.dimension)
+    terms = _cyclic_terms(config, alice_index, bob_index)
+    return (1.0 - noise) * complex(terms.sum() / config.dimension)
+
+
+def correlation_derivatives(
+    config: ExperimentConfig, alice_index: int, bob_index: int
+) -> np.ndarray:
+    """Derivative of the noiseless ``correlation_value`` by port m's phase of
+    either setting: i/N * (exp(i*delta_m) - exp(i*delta_{m-1}))."""
+    terms = _cyclic_terms(config, alice_index, bob_index)
+    return 1j * (terms - terms[np.arange(config.dimension) - 1]) / config.dimension
 
 
 def correlation_matrix(config: ExperimentConfig, noise: float = 0.0) -> np.ndarray:

@@ -78,6 +78,7 @@ class LPSolution:
     iterations: int
     detail: str = ""
     basis: tuple[int, ...] | None = None  # structural columns, when optimal
+    dual: np.ndarray | None = None  # one price per original row, when optimal
 
 
 @dataclass
@@ -182,8 +183,11 @@ def _install_objective(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray
     tableau[-1] = row
 
 
-def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """An orthonormal basis of A's row space as equalities U^T A x = U^T b.
+def _row_space(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """An orthonormal basis U of A's column space and the equalities
+    U^T A x = U^T b over A's row space, as (U, U^T A, U^T b).
 
     Returns None when b lies outside A's column space, so that A x = b has
     no solution at all.
@@ -196,7 +200,7 @@ def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
     outside = float(np.abs(b - u @ rhs).max(initial=0.0))
     if outside > RANK_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
         return None
-    return u.T @ a, rhs
+    return u, u.T @ a, rhs
 
 
 def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolution:
@@ -213,7 +217,10 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
     ``start`` (distinct structural columns, else ValueError) replaces phase 1
     if it has one column per independent row, passes the strict refactorization
     and leaves no basic value below -feasibility_tol; else it is ignored.  An
-    optimal solution carries its ``basis``, a start for LPs with the same A, b.
+    optimal solution carries its ``basis``, a start for LPs with the same A, b,
+    and its ``dual`` y over the original rows (b.y is the optimum and
+    c - A^T y <= 0): the reduced rows' prices, the negated reduced costs of
+    the artificial columns in the verified final tableau, mapped back by U.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
@@ -231,7 +238,7 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
     reduced = _row_space(a0, b0)
     if reduced is None:
         return unsolved("infeasible", "rhs outside the column space of A")
-    a, b = reduced
+    u, a, b = reduced
     m = b.size
     total = n + m
     a_ext = np.hstack([a, np.eye(m)])
@@ -322,7 +329,10 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
     if residual > CERTIFICATE_RESIDUAL_TOL:
         return unsolved("failed", f"residual {residual:.3e}")
     final = tuple(basis.tolist())
-    return LPSolution("optimal", float(c @ x), x, residual, counter.iterations, "", final)
+    dual = u @ -tableau[-1, n:total]
+    return LPSolution(
+        "optimal", float(c @ x), x, residual, counter.iterations, "", final, dual
+    )
 
 
 def check_certificate(lp: LinearProgram, solution: LPSolution) -> CertificateReport:

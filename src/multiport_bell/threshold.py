@@ -18,7 +18,10 @@ canonical strategies), matching the distribution of alice[i] + bob[j] mod N;
 
 Thresholds always mix from the noiseless quantum point; pre-mixed targets
 are not accepted anywhere.  ``scan`` searches phase settings for the
-largest threshold with seeded random restarts and coordinate descent.
+largest threshold with seeded random restarts.  Each restart minimizes V*,
+the optimum of the same LP without the cap on V, which keeps changing where
+the capped V_thr sits at 1: one golden-section sweep over every phase, then
+BFGS on the gradient the LP's optimal dual gives in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quantum import ExperimentConfig, correlation_matrix, joint_probabilities
+from .quantum import (
+    ExperimentConfig,
+    correlation_derivatives,
+    correlation_matrix,
+    joint_probabilities,
+    pure_coincidence_derivatives,
+    pure_coincidences,
+)
 from .simplex import LinearProgram, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
@@ -42,8 +52,9 @@ from .strategies import (
 )
 
 SCAN_STEP_START = math.pi / 2
-SCAN_STEP_STOP = 1e-4
-SCAN_IMPROVEMENT_STOP = 1e-7
+SCAN_GAIN_STOP = 1e-12
+SCAN_ARMIJO = 1e-4
+SCAN_BACKTRACKS = 30
 
 BUILTINS: dict[str, ExperimentConfig] = {
     # Two-setting qutrit configuration with the maximal threshold.  Alice's
@@ -203,44 +214,59 @@ def _symmetric_statistics(config: ExperimentConfig):
     return (*data, point, point[np.arange(point.size) % n != n - 1], 1.0 / n)
 
 
-def _problem(config: ExperimentConfig, statistics, pin_visibility: float | None):
-    """The threshold LP of one method, with the arrays it was built from.
+def _visibility_lp(
+    block: np.ndarray,
+    matched: np.ndarray,
+    offset: float,
+    cap: bool = True,
+    pin_visibility: float | None = None,
+) -> LinearProgram:
+    """Maximize V: a strategy mixture p must give block @ p = V*matched +
+    (1 - V)*offset and sum to one.
 
-    A strategy mixture p must give block @ p = V*matched + (1 - V)*offset.
-    Variables are [p_1 .. p_K, V, slack]; the cap row reads V + slack = 1.
+    Variables are [p_1 .. p_K, V] and, with ``cap``, a slack for the cap row
+    V + slack = 1; the pin row V = pin_visibility comes last.
     """
-    strategies, table, block, point, matched, offset = statistics(config)
     rows, k = block.shape
-    extra = 2 + (pin_visibility is not None)
-    a = np.zeros((rows + extra, k + 2))
+    extra = cap + (pin_visibility is not None)
+    a = np.zeros((rows + 1 + extra, k + 1 + cap))
     a[:rows, :k] = block
     a[:rows, k] = -(matched - offset)
     a[rows, :k] = 1.0
-    a[rows + 1, k] = 1.0
-    a[rows + 1, k + 1] = 1.0
-    b = np.zeros(rows + extra)
+    b = np.zeros(rows + 1 + extra)
     b[:rows] = offset
     b[rows] = 1.0
-    b[rows + 1] = 1.0
+    if cap:
+        a[rows + 1, k] = 1.0
+        a[rows + 1, k + 1] = 1.0
+        b[rows + 1] = 1.0
     if pin_visibility is not None:
-        a[rows + 2, k] = 1.0
-        b[rows + 2] = pin_visibility
-    c = np.zeros(k + 2)
+        a[-1, k] = 1.0
+        b[-1] = pin_visibility
+    c = np.zeros(k + 1 + cap)
     c[k] = 1.0
-    return LinearProgram(c, a, b), strategies, table, point, offset
+    return LinearProgram(c, a, b)
+
+
+def _problem(config: ExperimentConfig, statistics, pin_visibility: float | None):
+    """The capped threshold LP of one method, with the arrays it was built from."""
+    strategies, table, block, point, matched, offset = statistics(config)
+    lp = _visibility_lp(block, matched, offset, pin_visibility=pin_visibility)
+    return lp, strategies, table, point, offset
 
 
 _START_BASES: dict[tuple, tuple[int, ...]] = {}
 
 
 def _start_basis(key: tuple, lp: LinearProgram, k: int) -> tuple[int, ...]:
-    """A feasible V=0 basis of every threshold LP with this (statistics, N,
+    """A feasible V=0 basis of every threshold LP with this (formulation, N,
     n_alice, n_bob) key: only column k (V) depends on the phases, so the LP
-    without it, and its basis of strategy columns and the cap slack, are the
-    same for every config of the shape, whichever comes first."""
+    without it, and its basis of strategy columns (and the cap slack, if the
+    LP has the cap row), are the same for every config of the shape,
+    whichever comes first."""
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
-        fixed = LinearProgram(np.zeros(k + 1), a, lp.rhs)
+        fixed = LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs)
         _START_BASES[key] = tuple(j + (j >= k) for j in solve(fixed).basis or ())
     return _START_BASES[key]
 
@@ -308,6 +334,67 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
     return _threshold(config, "probability", _symmetric_statistics, orbits=True)
 
 
+# The scan minimizes V*, the optimum of the threshold LP without its cap row:
+# unlike the capped V_thr it keeps changing where the quantum point is local.
+# Only the V column depends on the phases, so by the envelope theorem
+# dV*/dphase = V* * y_block . dmatched/dphase, with y the LP's optimal dual.
+# Each sensitivity(config) gives the LP block, the matched rows, the offset
+# and dmatched/dphase as (rows, n_alice + n_bob, N): the derivative by port
+# m's phase of each of Alice's and then Bob's settings.
+
+
+def _settings_pairs(config: ExperimentConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The settings pairs (i, j) in row order, and the two settings each one
+    uses, as a 0/1 (pairs, n_alice + n_bob) array: a pair's statistics depend
+    on phi_m + theta_m only, so on either setting's port m alike."""
+    pairs = [(i, j) for i in range(config.n_alice) for j in range(config.n_bob)]
+    uses = np.zeros((len(pairs), config.n_alice + config.n_bob))
+    for p, (i, j) in enumerate(pairs):
+        uses[p, i] = uses[p, config.n_alice + j] = 1.0
+    return pairs, uses
+
+
+def _correlation_sensitivity(config: ExperimentConfig):
+    """Correlation matching: real parts over imaginary parts of the values."""
+    pairs, uses = _settings_pairs(config)
+    block = _correlation_data(config.dimension, config.n_alice, config.n_bob)[2]
+    point = correlation_matrix(config).reshape(-1)
+    by_port = np.array([correlation_derivatives(config, i, j) for i, j in pairs])
+    by_phase = by_port[:, None, :] * uses[:, :, None]
+    matched = np.concatenate([point.real, point.imag])
+    return block, matched, 0.0, np.concatenate([by_phase.real, by_phase.imag])
+
+
+def _symmetric_sensitivity(config: ExperimentConfig):
+    """Probability matching over shift orbits: N*P0(0, s) for s = 0..N-2 per pair."""
+    n = config.dimension
+    pairs, uses = _settings_pairs(config)
+    block = _symmetric_data(n, config.n_alice, config.n_bob)[2]
+    pure = np.array([pure_coincidences(config, i, j) for i, j in pairs])
+    by_port = n * np.array([pure_coincidence_derivatives(config, i, j) for i, j in pairs])
+    by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
+    matched = (n * pure[:, :-1]).reshape(-1)
+    return block, matched, 1.0 / n, by_phase.reshape(-1, *uses.shape[1:], n)
+
+
+def _uncapped_visibility(config: ExperimentConfig, sensitivity) -> tuple[float, np.ndarray]:
+    """V* and dV*/dphase, (n_alice + n_bob, N); V* = inf with a zero gradient
+    where the LP is unbounded (every table uniform)."""
+    block, matched, offset, derivatives = sensitivity(config)
+    rows, k = block.shape
+    lp = _visibility_lp(block, matched, offset, cap=False)
+    key = (sensitivity, config.dimension, config.n_alice, config.n_bob)
+    solution = solve(lp, start=_start_basis(key, lp, k))
+    if solution.status == "unbounded":
+        return math.inf, np.zeros(derivatives.shape[1:])
+    if solution.status != "optimal":
+        raise SolverFailure(
+            f"uncapped threshold LP ended with status {solution.status}: {solution.detail}"
+        )
+    v = float(solution.x[k])
+    return v, v * np.tensordot(solution.dual[:rows], derivatives, axes=1)
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -346,18 +433,39 @@ def _line_max(objective, x: np.ndarray, k: int, step: float, current: float):
     return best_t, best_value
 
 
-def _descend(objective, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Coordinate descent with a halving step schedule."""
-    best = objective(x)
-    step = SCAN_STEP_START
-    while step >= SCAN_STEP_STOP:
-        cycle_start = best
-        for k in range(x.size):
-            _, best = _line_max(objective, x, k, step, best)
-        if best - cycle_start < SCAN_IMPROVEMENT_STOP:
-            break
-        step /= 2.0
-    return best, x
+def _ascend(objective, x: np.ndarray) -> np.ndarray:
+    """Maximize objective(x) -> (value, gradient) from x: one golden-section
+    sweep over every coordinate, then BFGS with Armijo backtracking until a
+    step gains less than SCAN_GAIN_STOP or backtracking fails."""
+    value = objective(x)[0]
+    for k in range(x.size):
+        _, value = _line_max(lambda v: objective(v)[0], x, k, SCAN_STEP_START, value)
+    value, gradient = objective(x)
+    inverse = np.eye(x.size)
+    while True:
+        direction = inverse @ gradient
+        slope = float(gradient @ direction)
+        if not slope > 0.0:  # a zero gradient
+            return x
+        step = 1.0
+        for _ in range(SCAN_BACKTRACKS):
+            trial = x + step * direction
+            trial_value, trial_gradient = objective(trial)
+            if trial_value >= value + SCAN_ARMIJO * step * slope:
+                break
+            step /= 2.0
+        else:
+            return x
+        # the inverse-Hessian update of the minimized -objective
+        s, y = trial - x, gradient - trial_gradient
+        sy = float(s @ y)
+        if sy > 0.0:
+            left = np.eye(x.size) - np.outer(s, y) / sy
+            inverse = left @ inverse @ left.T + np.outer(s, s) / sy
+        gain = trial_value - value
+        x, value, gradient = trial, trial_value, trial_gradient
+        if gain < SCAN_GAIN_STOP:
+            return x
 
 
 def _vector_config(dimension: int, vector: np.ndarray) -> ExperimentConfig:
@@ -373,7 +481,9 @@ def scan(
     """Search phase settings maximizing the noise threshold.
 
     Each restart draws its start from a generator seeded by (seed, restart
-    index), so runs are reproducible and restarts are order-independent;
+    index), so runs are reproducible and restarts are order-independent, then
+    minimizes the uncapped V* (``_ascend`` on -V* and its LP gradient) and
+    records the capped F_thr of the public threshold function at the end;
     ties keep the lowest restart index.  A restart that trips the LP solver
     is recorded as NaN in the history and skipped.  ``method`` is "corr"
     (correlation matching) or "prob" (probability matching), as on the
@@ -383,13 +493,17 @@ def scan(
         raise ValueError(f"scan supports dimensions 2..6, got {dimension}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    thresholds = {"corr": correlation_threshold, "prob": probability_threshold}
-    if method not in thresholds:
+    methods = {
+        "corr": (correlation_threshold, _correlation_sensitivity),
+        "prob": (probability_threshold, _symmetric_sensitivity),
+    }
+    if method not in methods:
         raise ValueError(f"unknown method {method!r} (known: corr, prob)")
-    threshold = thresholds[method]
+    threshold, sensitivity = methods[method]
 
-    def objective(vector: np.ndarray) -> float:
-        return threshold(_vector_config(dimension, vector)).f_thr
+    def objective(vector: np.ndarray) -> tuple[float, np.ndarray]:
+        v, gradient = _uncapped_visibility(_vector_config(dimension, vector), sensitivity)
+        return -v, -gradient[:, 1:].reshape(-1)
 
     history: list[tuple[int, float]] = []
     best_value = -math.inf
@@ -398,7 +512,8 @@ def scan(
         rng = np.random.default_rng([seed, index])
         vector = rng.uniform(0.0, 2.0 * math.pi, size=4 * (dimension - 1))
         try:
-            value, vector = _descend(objective, vector)
+            vector = _ascend(objective, vector)
+            value = threshold(_vector_config(dimension, vector)).f_thr
         except SolverFailure:
             history.append((index, math.nan))
             continue

@@ -34,14 +34,24 @@ def test_simple_optimal():
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
+def assert_dual_certifies(lp, sol):
+    # strong duality and dual feasibility of the reported prices
+    assert abs(lp.rhs @ sol.dual - sol.objective_value) <= 1e-9
+    assert np.max(lp.objective - lp.constraint_matrix.T @ sol.dual) <= 1e-9
+
+
 def test_contradictory_equalities_infeasible():
     lp = LinearProgram([1.0], [[1.0], [1.0]], [2.0, 3.0])
-    assert solve(lp).status == "infeasible"
+    sol = solve(lp)
+    assert sol.status == "infeasible"
+    assert sol.dual is None
 
 
 def test_unbounded():
     lp = LinearProgram([1.0, 0.0], [[1.0, -1.0]], [1.0])
-    assert solve(lp).status == "unbounded"
+    sol = solve(lp)
+    assert sol.status == "unbounded"
+    assert sol.dual is None
 
 
 def test_zero_constraint_lp():
@@ -88,6 +98,7 @@ def test_iteration_cap_reports_failure(monkeypatch):
     sol = solve(lp)
     assert sol.status == "failed"
     assert "cap" in sol.detail or "iteration" in sol.detail
+    assert sol.dual is None
 
 
 def test_determinism():
@@ -181,6 +192,7 @@ def test_against_scipy_on_random_instances():
         status, reference = scipy_value(lp)
         assert sol.status == "optimal" and status == 0
         assert sol.objective_value == pytest.approx(reference, abs=1e-7)
+        assert_dual_certifies(lp, sol)
         again = solve(lp, start=sol.basis)
         assert again.status == "optimal" and again.iterations == 0
         assert again.objective_value == sol.objective_value
@@ -195,7 +207,9 @@ def test_against_scipy_on_random_instances():
         assert sol.status == "optimal" and status == 0
         assert sol.objective_value == pytest.approx(reference, abs=1e-7)
         assert check_certificate(redundant, sol).passed
+        assert_dual_certifies(redundant, sol)
         b[-1] += 1e-3 * (1.0 + abs(b[-1]))
         inconsistent = LinearProgram(lp.objective, a, b)
-        assert solve(inconsistent).status == "infeasible"
+        sol = solve(inconsistent)
+        assert sol.status == "infeasible" and sol.dual is None
         assert scipy_value(inconsistent)[0] == 2

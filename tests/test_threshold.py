@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from scipy.optimize import linprog
 
 from multiport_bell import threshold
-from multiport_bell.quantum import ExperimentConfig, correlation_matrix, joint_probabilities
+from multiport_bell.quantum import (
+    ExperimentConfig,
+    correlation_matrix,
+    joint_probabilities,
+    pure_coincidences,
+)
 from multiport_bell.simplex import check_certificate, solve
 from multiport_bell.strategies import (
     canonicalize,
@@ -324,6 +330,96 @@ def test_thresholds_independent_of_start_cache_state():
     assert cold == warm == after_others
 
 
+def nudged(cfg, setting, port, step):
+    """cfg with port ``port`` of setting ``setting`` (Alice's, then Bob's) moved by step."""
+    settings = [list(s) for s in cfg.alice_settings + cfg.bob_settings]
+    settings[setting][port] += step
+    settings = tuple(map(tuple, settings))
+    return ExperimentConfig(cfg.dimension, settings[: cfg.n_alice], settings[cfg.n_alice :])
+
+
+def central_difference(function, cfg, step=1e-6):
+    """d function(cfg) / d every phase, as (..., n_alice + n_bob, N)."""
+    columns = [
+        [
+            (function(nudged(cfg, r, m, step)) - function(nudged(cfg, r, m, -step))) / (2 * step)
+            for m in range(cfg.dimension)
+        ]
+        for r in range(cfg.n_alice + cfg.n_bob)
+    ]
+    return np.moveaxis(np.array(columns), (0, 1), (-2, -1))
+
+
+SENSITIVITIES = (
+    (threshold._correlation_sensitivity, threshold._correlation_statistics),
+    (threshold._symmetric_sensitivity, threshold._symmetric_statistics),
+)
+
+
+def test_pure_coincidences_are_the_joint_table_by_outcome_sum():
+    rng = np.random.default_rng(20261022)
+    for dimension in (2, 3, 4, 5, 6):
+        cfg = random_config(rng, dimension)
+        for i, j in itertools.product(range(2), range(2)):
+            pure = pure_coincidences(cfg, i, j)
+            table = joint_probabilities(cfg, i, j)
+            assert np.max(np.abs(pure - table[0])) <= 1e-15
+            sums = np.add.outer(np.arange(dimension), np.arange(dimension)) % dimension
+            assert np.array_equal(table, pure[sums])
+
+
+def test_matched_phase_derivatives_match_central_differences():
+    rng = np.random.default_rng(20261023)
+    configs = [random_config(rng, n) for n in (2, 3, 4, 5)]
+    configs += [near_optimal_config(rng, n) for n in (3, 5)]
+    configs.append(random_config(rng, 3, 3, 2))
+    for cfg in configs:
+        for sensitivity, statistics in SENSITIVITIES:
+            block, matched, offset, derivatives = sensitivity(cfg)
+            # the scan's LP rows are the driver's
+            _, _, driver_block, _, driver_matched, driver_offset = statistics(cfg)
+            assert block is driver_block and offset == driver_offset
+            assert np.array_equal(matched, driver_matched)
+            assert derivatives.shape == (matched.size, cfg.n_alice + cfg.n_bob, cfg.dimension)
+            numeric = central_difference(lambda c: sensitivity(c)[1], cfg)
+            assert np.max(np.abs(derivatives - numeric)) <= 1e-8
+
+
+def test_visibility_gradient_matches_central_differences():
+    # dV*/dphase = V* y_block . dmatched/dphase holds where the optimal basis
+    # is primal nondegenerate, so the dual is unique and V* is smooth
+    rng = np.random.default_rng(20261024)
+    checked = 0
+    for dimension in (3, 3, 3, 3, 4, 4, 4, 4):
+        for draw in (random_config, near_optimal_config):
+            cfg = draw(rng, dimension)
+            for sensitivity, _ in SENSITIVITIES:
+                block, matched, offset, _ = sensitivity(cfg)
+                solution = solve(threshold._visibility_lp(block, matched, offset, cap=False))
+                assert solution.status == "optimal"
+                if solution.x[list(solution.basis)].min() < 1e-6:
+                    continue
+                v, gradient = threshold._uncapped_visibility(cfg, sensitivity)
+                assert v == pytest.approx(solution.objective_value, abs=1e-12)
+                numeric = central_difference(
+                    lambda c: threshold._uncapped_visibility(c, sensitivity)[0], cfg
+                )
+                assert np.max(np.abs(gradient - numeric)) <= 1e-7
+                checked += 1
+    assert checked >= 24
+
+
+def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
+    cfg = ExperimentConfig(
+        2,
+        ((0.0, 0.0), (0.0, -math.pi)),
+        ((0.0, -math.pi / 2), (0.0, math.pi / 2)),
+    )
+    v, gradient = threshold._uncapped_visibility(cfg, threshold._symmetric_sensitivity)
+    assert v == math.inf
+    assert not gradient.any()
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan(7, 1, 0)
@@ -341,11 +437,71 @@ def test_probability_scan_has_no_failed_restart():
 
 
 def test_scan_deterministic_repeat():
-    first = scan(2, 1, 3)
-    second = scan(2, 1, 3)
-    assert first.best_f_thr == second.best_f_thr
-    assert first.history == second.history
-    assert first.best_config == second.best_config
+    for args in ((2, 1, 3, "corr"), (3, 2, 5, "prob")):
+        first = scan(*args)
+        second = scan(*args)
+        assert first.best_f_thr == second.best_f_thr
+        assert first.history == second.history
+        assert first.best_config == second.best_config
+
+
+@pytest.mark.parametrize("method", ["corr", "prob"])
+def test_scan_restarts_are_order_independent(method):
+    for seed in (0, 4):
+        alone = scan(3, 1, seed, method)
+        assert alone.history == scan(3, 2, seed, method).history[:1]
+
+
+def test_scan_independent_of_start_cache_state():
+    def outcome():
+        result = scan(3, 2, 6, "prob")
+        return result.history, result.best_config
+
+    threshold._START_BASES.clear()
+    cold = outcome()
+    warm = outcome()
+    threshold._START_BASES.clear()
+    # other configs of every shape fill the scan's and the drivers' bases first
+    for dimension in (2, 3, 4):
+        for method in ("corr", "prob"):
+            scan(dimension, 1, 1, method)
+        probability_threshold(random_config(np.random.default_rng(dimension), dimension))
+    after_others = outcome()
+    assert cold == warm == after_others
+
+
+POOL_SEEDS = range(11)
+
+
+@pytest.fixture(scope="module")
+def pool_histories():
+    return {seed: scan(3, 2, seed, "prob").history for seed in POOL_SEEDS}
+
+
+def test_probability_scan_reaches_qutrit_optimum_on_pool(pool_histories):
+    values = [f for history in pool_histories.values() for _, f in history]
+    assert len(values) == 22
+    assert sum(f >= 0.30384 for f in values) >= 20
+    assert max(values) <= F_QUTRIT + 1e-9
+
+
+def test_scan_restarts_ignore_roundoff_in_visibility(monkeypatch, pool_histories):
+    # a restart's result must not hinge on comparisons of values that differ
+    # by roundoff: nudge every V* by 1e-15, with alternating signs
+    uncapped = threshold._uncapped_visibility
+    for pattern in ((1e-15, -1e-15), (-1e-15, -1e-15, 1e-15)):
+        shifts = itertools.cycle(pattern)
+
+        def nudged_visibility(config, sensitivity):
+            v, gradient = uncapped(config, sensitivity)
+            return v + next(shifts), gradient
+
+        monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
+        for seed in POOL_SEEDS:
+            history = scan(3, 2, seed, "prob").history
+            reference = pool_histories[seed]
+            assert [index for index, _ in history] == [index for index, _ in reference]
+            assert max(abs(f - g) for (_, f), (_, g) in zip(history, reference)) <= 1e-9
 
 
 def test_scan_qubit_recovers_chsh_threshold():
