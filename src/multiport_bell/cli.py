@@ -171,7 +171,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rounded = tuple(round(p, 9) for p in setting)
             print(f"  {label}[{k}] = {rounded}")
     if args.csv:
-        _write_scan_csv(args.csv, result)
+        try:
+            _write_scan_csv(args.csv, result)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.csv}: {exc}") from exc
         print(f"history written to {args.csv}")
     return 0
 

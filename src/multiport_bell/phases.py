@@ -5,12 +5,15 @@ TERM   := FACTOR (('*' | '/') FACTOR)*
 FACTOR := NUMBER | 'pi' | '(' EXPR ')' | '-' FACTOR
 
 Left-associative, whitespace ignored, evaluated in double precision.
-NUMBER is a decimal integer with an optional fraction part.
+NUMBER is a decimal integer with an optional fraction part.  At most
+MAX_NESTING parentheses and unary minus signs may enclose one another.
 """
 
 from __future__ import annotations
 
 import math
+
+MAX_NESTING = 100
 
 
 class PhaseExprError(ValueError):
@@ -35,6 +38,7 @@ class _Parser:
     def __init__(self, source: str) -> None:
         self.source = source
         self.pos = 0
+        self.depth = 0
 
     def skip_space(self) -> None:
         while self.pos < len(self.source) and self.source[self.pos].isspace():
@@ -74,23 +78,30 @@ class _Parser:
     def factor(self) -> float:
         self.skip_space()
         ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return -self.factor()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            self.skip_space()
-            if self.peek() != ")":
-                raise PhaseExprError("expected ')'", self.pos)
-            self.pos += 1
-            return value
+        if ch in ("-", "("):
+            return self.nested(ch)
         if ch.isdigit():
             return self.number()
         if self.source.startswith("pi", self.pos):
             self.pos += 2
             return math.pi
         raise PhaseExprError("expected a number, 'pi', '(' or '-'", self.pos)
+
+    def nested(self, ch: str) -> float:
+        if self.depth == MAX_NESTING:
+            raise PhaseExprError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
+        self.pos += 1
+        if ch == "-":
+            value = -self.factor()
+        else:
+            value = self.expr()
+            self.skip_space()
+            if self.peek() != ")":
+                raise PhaseExprError("expected ')'", self.pos)
+            self.pos += 1
+        self.depth -= 1
+        return value
 
     def number(self) -> float:
         start = self.pos

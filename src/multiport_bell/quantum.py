@@ -85,12 +85,6 @@ class ExperimentConfig:
         return len(self.bob_settings)
 
 
-def root_of_unity(dimension: int) -> complex:
-    """Primitive dimension-th root of unity, exp(2j*pi/dimension)."""
-    _require_dimension(dimension)
-    return complex(np.exp(2j * np.pi / dimension))
-
-
 def fourier_matrix(dimension: int) -> np.ndarray:
     """Transition matrix of an unbiased multiport: (k, l) -> gamma**(k*l)/sqrt(N)."""
     _require_dimension(dimension)

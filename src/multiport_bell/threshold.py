@@ -19,9 +19,10 @@ canonical strategies), matching the distribution of alice[i] + bob[j] mod N;
 Thresholds always mix from the noiseless quantum point; pre-mixed targets
 are not accepted anywhere.  ``scan`` searches phase settings for the
 largest threshold with seeded random restarts.  Each restart minimizes V*,
-the optimum of the same LP without the cap on V, which keeps changing where
-the capped V_thr sits at 1: one golden-section sweep over every phase, then
-BFGS on the gradient the LP's optimal dual gives in closed form.
+the optimum of the drivers' LP without the cap on V, which keeps changing
+where the capped V_thr sits at 1: one golden-section sweep over every phase
+on V* alone, then BFGS on the gradient the LP's optimal dual gives in
+closed form.
 """
 
 from __future__ import annotations
@@ -172,6 +173,17 @@ def _shift_orbits(
     return strategies, _frozen(orbits)
 
 
+def _settings_pairs(config: ExperimentConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The settings pairs (i, j) in row order, and the two settings each one
+    uses, as a 0/1 (pairs, n_alice + n_bob) array: a pair's statistics depend
+    on phi_m + theta_m only, so on either setting's port m alike."""
+    pairs = [(i, j) for i in range(config.n_alice) for j in range(config.n_bob)]
+    uses = np.zeros((len(pairs), config.n_alice + config.n_bob))
+    for p, (i, j) in enumerate(pairs):
+        uses[p, i] = uses[p, config.n_alice + j] = 1.0
+    return pairs, uses
+
+
 # Each statistics(config) gives the strategies, their table (one column per
 # strategy), the LP block, the quantum point the table matches, the part of
 # it the block rows match and the offset.
@@ -189,13 +201,8 @@ def _probability_statistics(config: ExperimentConfig):
     """Probability matching: the strategy indicators against the noiseless
     coincidence tables, offset 1/N**2 (the uniform table)."""
     data = _probability_data(config.dimension, config.n_alice, config.n_bob)
-    pure = np.concatenate(
-        [
-            joint_probabilities(config, i, j).reshape(-1)
-            for i in range(config.n_alice)
-            for j in range(config.n_bob)
-        ]
-    )
+    pairs = _settings_pairs(config)[0]
+    pure = np.concatenate([joint_probabilities(config, i, j).reshape(-1) for i, j in pairs])
     return (*data, pure, pure, 1.0 / config.dimension**2)
 
 
@@ -204,13 +211,8 @@ def _symmetric_statistics(config: ExperimentConfig):
     N*P0(0, s) = N*P0(a, b) for every a + b = s mod N, offset 1/N."""
     data = _symmetric_data(config.dimension, config.n_alice, config.n_bob)
     n = config.dimension
-    point = n * np.concatenate(
-        [
-            joint_probabilities(config, i, j)[0]
-            for i in range(config.n_alice)
-            for j in range(config.n_bob)
-        ]
-    )
+    pairs = _settings_pairs(config)[0]
+    point = n * np.concatenate([pure_coincidences(config, i, j) for i, j in pairs])
     return (*data, point, point[np.arange(point.size) % n != n - 1], 1.0 / n)
 
 
@@ -248,41 +250,41 @@ def _visibility_lp(
     return LinearProgram(c, a, b)
 
 
-def _problem(config: ExperimentConfig, statistics, pin_visibility: float | None):
-    """The capped threshold LP of one method, with the arrays it was built from."""
-    strategies, table, block, point, matched, offset = statistics(config)
-    lp = _visibility_lp(block, matched, offset, pin_visibility=pin_visibility)
-    return lp, strategies, table, point, offset
-
-
 _START_BASES: dict[tuple, tuple[int, ...]] = {}
 
 
-def _start_basis(key: tuple, lp: LinearProgram, k: int) -> tuple[int, ...]:
-    """A feasible V=0 basis of every threshold LP with this (formulation, N,
-    n_alice, n_bob) key: only column k (V) depends on the phases, so the LP
+def _solve_threshold_lp(config: ExperimentConfig, statistics, cap: bool):
+    """The statistics of config and the solution of their threshold LP.
+
+    The solve starts from a feasible V=0 basis kept per (statistics, cap, N,
+    n_alice, n_bob): only column k (V) depends on the phases, so the LP
     without it, and its basis of strategy columns (and the cap slack, if the
     LP has the cap row), are the same for every config of the shape,
-    whichever comes first."""
+    whichever comes first.
+    """
+    stats = strategies, _, block, _, matched, offset = statistics(config)
+    lp = _visibility_lp(block, matched, offset, cap=cap)
+    k = len(strategies)
+    key = (statistics, cap, config.dimension, config.n_alice, config.n_bob)
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
         fixed = LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs)
         _START_BASES[key] = tuple(j + (j >= k) for j in solve(fixed).basis or ())
-    return _START_BASES[key]
+    return stats, solve(lp, start=_START_BASES[key])
 
 
 def _threshold(
     config: ExperimentConfig, method: str, statistics, orbits: bool = False
 ) -> ThresholdResult:
-    """Solve the LP and read V, the weights and the residual off its arrays.
+    """Solve the capped LP and read V, the weights and the residual off its arrays.
 
     With ``orbits`` the columns are shift orbits: each orbit's weight goes as
     w/N to each of its N members, a mixture whose full coincidence tables are
     the orbit rows divided by N.
     """
-    lp, strategies, table, point, offset = _problem(config, statistics, None)
-    key = (statistics, config.dimension, config.n_alice, config.n_bob)
-    solution = solve(lp, start=_start_basis(key, lp, len(strategies)))
+    (strategies, table, _, point, _, offset), solution = _solve_threshold_lp(
+        config, statistics, cap=True
+    )
     if solution.status != "optimal":
         raise SolverFailure(
             f"threshold LP ended with status {solution.status}: {solution.detail}"
@@ -313,14 +315,16 @@ def correlation_lp(
     config: ExperimentConfig, pin_visibility: float | None = None
 ) -> tuple[LinearProgram, tuple[DeterministicStrategy, ...]]:
     """LP matching the noiseless correlation matrix scaled by V."""
-    return _problem(config, _correlation_statistics, pin_visibility)[:2]
+    strategies, _, block, _, matched, offset = _correlation_statistics(config)
+    return _visibility_lp(block, matched, offset, pin_visibility=pin_visibility), strategies
 
 
 def probability_lp(
     config: ExperimentConfig, pin_visibility: float | None = None
 ) -> tuple[LinearProgram, tuple[DeterministicStrategy, ...]]:
     """LP matching every coincidence table of the noise-mixed state."""
-    return _problem(config, _probability_statistics, pin_visibility)[:2]
+    strategies, _, block, _, matched, offset = _probability_statistics(config)
+    return _visibility_lp(block, matched, offset, pin_visibility=pin_visibility), strategies
 
 
 def correlation_threshold(config: ExperimentConfig) -> ThresholdResult:
@@ -338,76 +342,55 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 # unlike the capped V_thr it keeps changing where the quantum point is local.
 # Only the V column depends on the phases, so by the envelope theorem
 # dV*/dphase = V* * y_block . dmatched/dphase, with y the LP's optimal dual.
-# Each sensitivity(config) gives the LP block, the matched rows, the offset
-# and dmatched/dphase as (rows, n_alice + n_bob, N): the derivative by port
+# The LP comes from the drivers' statistics functions; each derivatives(config)
+# gives dmatched/dphase as (rows, n_alice + n_bob, N): the derivative by port
 # m's phase of each of Alice's and then Bob's settings.
 
 
-def _settings_pairs(config: ExperimentConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The settings pairs (i, j) in row order, and the two settings each one
-    uses, as a 0/1 (pairs, n_alice + n_bob) array: a pair's statistics depend
-    on phi_m + theta_m only, so on either setting's port m alike."""
-    pairs = [(i, j) for i in range(config.n_alice) for j in range(config.n_bob)]
-    uses = np.zeros((len(pairs), config.n_alice + config.n_bob))
-    for p, (i, j) in enumerate(pairs):
-        uses[p, i] = uses[p, config.n_alice + j] = 1.0
-    return pairs, uses
-
-
-def _correlation_sensitivity(config: ExperimentConfig):
+def _correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
     """Correlation matching: real parts over imaginary parts of the values."""
     pairs, uses = _settings_pairs(config)
-    block = _correlation_data(config.dimension, config.n_alice, config.n_bob)[2]
-    point = correlation_matrix(config).reshape(-1)
     by_port = np.array([correlation_derivatives(config, i, j) for i, j in pairs])
     by_phase = by_port[:, None, :] * uses[:, :, None]
-    matched = np.concatenate([point.real, point.imag])
-    return block, matched, 0.0, np.concatenate([by_phase.real, by_phase.imag])
+    return np.concatenate([by_phase.real, by_phase.imag])
 
 
-def _symmetric_sensitivity(config: ExperimentConfig):
+def _symmetric_derivatives(config: ExperimentConfig) -> np.ndarray:
     """Probability matching over shift orbits: N*P0(0, s) for s = 0..N-2 per pair."""
     n = config.dimension
     pairs, uses = _settings_pairs(config)
-    block = _symmetric_data(n, config.n_alice, config.n_bob)[2]
-    pure = np.array([pure_coincidences(config, i, j) for i, j in pairs])
     by_port = n * np.array([pure_coincidence_derivatives(config, i, j) for i, j in pairs])
     by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
-    matched = (n * pure[:, :-1]).reshape(-1)
-    return block, matched, 1.0 / n, by_phase.reshape(-1, *uses.shape[1:], n)
+    return by_phase.reshape(-1, *uses.shape[1:], n)
 
 
-def _uncapped_visibility(config: ExperimentConfig, sensitivity) -> tuple[float, np.ndarray]:
-    """V* and dV*/dphase, (n_alice + n_bob, N); V* = inf with a zero gradient
-    where the LP is unbounded (every table uniform)."""
-    block, matched, offset, derivatives = sensitivity(config)
-    rows, k = block.shape
-    lp = _visibility_lp(block, matched, offset, cap=False)
-    key = (sensitivity, config.dimension, config.n_alice, config.n_bob)
-    solution = solve(lp, start=_start_basis(key, lp, k))
+def _uncapped_visibility(config: ExperimentConfig, statistics) -> tuple[float, np.ndarray]:
+    """V* and the optimal dual prices of the LP block rows; V* = inf with zero
+    prices where the LP is unbounded (every table uniform)."""
+    (strategies, _, block, *_), solution = _solve_threshold_lp(config, statistics, cap=False)
     if solution.status == "unbounded":
-        return math.inf, np.zeros(derivatives.shape[1:])
+        return math.inf, np.zeros(len(block))
     if solution.status != "optimal":
         raise SolverFailure(
             f"uncapped threshold LP ended with status {solution.status}: {solution.detail}"
         )
-    v = float(solution.x[k])
-    return v, v * np.tensordot(solution.dual[:rows], derivatives, axes=1)
+    return float(solution.x[len(strategies)]), solution.dual[: len(block)]
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _line_max(objective, x: np.ndarray, k: int, step: float, current: float):
-    """Golden-section maximization of coordinate k over +-step around x[k]."""
+def _line_max(objective, x: np.ndarray, k: int, current: float) -> float:
+    """Golden-section maximization of coordinate k over +-SCAN_STEP_START
+    around x[k]; leaves x[k] at the best point and returns its value."""
     center = x[k]
 
     def evaluate(t: float) -> float:
         x[k] = t
         return objective(x)
 
-    lo, hi = center - step, center + step
-    tol = max(step / 4.0, 2e-5)
+    lo, hi = center - SCAN_STEP_START, center + SCAN_STEP_START
+    tol = SCAN_STEP_START / 4.0
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = evaluate(c), evaluate(d)
@@ -430,17 +413,18 @@ def _line_max(objective, x: np.ndarray, k: int, step: float, current: float):
             if fd > best_value:
                 best_t, best_value = d, fd
     x[k] = best_t
-    return best_t, best_value
+    return best_value
 
 
-def _ascend(objective, x: np.ndarray) -> np.ndarray:
-    """Maximize objective(x) -> (value, gradient) from x: one golden-section
-    sweep over every coordinate, then BFGS with Armijo backtracking until a
-    step gains less than SCAN_GAIN_STOP or backtracking fails."""
-    value = objective(x)[0]
+def _ascend(objective, objective_and_gradient, x: np.ndarray) -> np.ndarray:
+    """Maximize objective(x) from x, where objective_and_gradient(x) gives the
+    value and its gradient: one golden-section sweep over every coordinate on
+    the value alone, then BFGS with Armijo backtracking until a step gains less
+    than SCAN_GAIN_STOP or backtracking fails."""
+    value = objective(x)
     for k in range(x.size):
-        _, value = _line_max(lambda v: objective(v)[0], x, k, SCAN_STEP_START, value)
-    value, gradient = objective(x)
+        value = _line_max(objective, x, k, value)
+    value, gradient = objective_and_gradient(x)
     inverse = np.eye(x.size)
     while True:
         direction = inverse @ gradient
@@ -450,7 +434,7 @@ def _ascend(objective, x: np.ndarray) -> np.ndarray:
         step = 1.0
         for _ in range(SCAN_BACKTRACKS):
             trial = x + step * direction
-            trial_value, trial_gradient = objective(trial)
+            trial_value, trial_gradient = objective_and_gradient(trial)
             if trial_value >= value + SCAN_ARMIJO * step * slope:
                 break
             step /= 2.0
@@ -494,15 +478,22 @@ def scan(
     if restarts < 1:
         raise ValueError("need at least one restart")
     methods = {
-        "corr": (correlation_threshold, _correlation_sensitivity),
-        "prob": (probability_threshold, _symmetric_sensitivity),
+        "corr": (correlation_threshold, _correlation_statistics, _correlation_derivatives),
+        "prob": (probability_threshold, _symmetric_statistics, _symmetric_derivatives),
     }
     if method not in methods:
         raise ValueError(f"unknown method {method!r} (known: corr, prob)")
-    threshold, sensitivity = methods[method]
+    threshold, statistics, derivatives = methods[method]
 
-    def objective(vector: np.ndarray) -> tuple[float, np.ndarray]:
-        v, gradient = _uncapped_visibility(_vector_config(dimension, vector), sensitivity)
+    def objective(vector: np.ndarray) -> float:
+        return -_uncapped_visibility(_vector_config(dimension, vector), statistics)[0]
+
+    def objective_and_gradient(vector: np.ndarray) -> tuple[float, np.ndarray]:
+        config = _vector_config(dimension, vector)
+        v, prices = _uncapped_visibility(config, statistics)
+        if v == math.inf:
+            return -v, np.zeros(vector.size)
+        gradient = v * np.tensordot(prices, derivatives(config), axes=1)
         return -v, -gradient[:, 1:].reshape(-1)
 
     history: list[tuple[int, float]] = []
@@ -512,7 +503,7 @@ def scan(
         rng = np.random.default_rng([seed, index])
         vector = rng.uniform(0.0, 2.0 * math.pi, size=4 * (dimension - 1))
         try:
-            vector = _ascend(objective, vector)
+            vector = _ascend(objective, objective_and_gradient, vector)
             value = threshold(_vector_config(dimension, vector)).f_thr
         except SolverFailure:
             history.append((index, math.nan))

@@ -89,6 +89,16 @@ def test_bad_phase_expression_exits_2(tmp_path, capsys):
     assert "alice[0][0]" in err
 
 
+def test_overly_nested_phase_expression_exits_2(tmp_path, capsys):
+    nested = "(" * 400 + "pi" + ")" * 400
+    broken = dict(EXAMPLE_CONFIG, bob=[["0", "0", "0"], ["0", nested, "0"]])
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(broken), encoding="utf-8")
+    assert main(["threshold", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "nesting" in err and "bob[1][1]" in err
+
+
 def test_malformed_json_exits_2_with_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"dimension": 3,', encoding="utf-8")
@@ -173,6 +183,15 @@ def test_scan_csv_history(tmp_path, capsys):
         if not math.isnan(value):
             best = max(best, value)
         assert float(row["best_so_far"]) == pytest.approx(best, abs=0)
+
+
+def test_scan_csv_to_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "h.csv"
+    code = main(["scan", "--dimension", "2", "--restarts", "1", "--seed", "1", "--csv", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}")
+    assert not path.parent.exists()
 
 
 def test_missing_subcommand_exits_2(capsys):

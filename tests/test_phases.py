@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from multiport_bell.phases import PhaseExprError, parse_phase_expr
+from multiport_bell.phases import MAX_NESTING, PhaseExprError, parse_phase_expr
 
 
 @pytest.mark.parametrize(
@@ -58,3 +58,27 @@ def test_division_by_zero():
     assert excinfo.value.position == 1
     with pytest.raises(PhaseExprError):
         parse_phase_expr("pi/(1-1)")
+
+
+def test_nesting_at_the_limit_evaluates():
+    assert parse_phase_expr("(" * MAX_NESTING + "pi" + ")" * MAX_NESTING) == math.pi
+    assert parse_phase_expr("-" * MAX_NESTING + "1") == 1.0
+    assert parse_phase_expr("-(" * (MAX_NESTING // 2) + "2" + ")" * (MAX_NESTING // 2)) == 2.0
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(" * 400 + "1" + ")" * 400,
+        "-" * 5000 + "1",
+        "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+        "-" * (MAX_NESTING + 1) + "1",
+        " 1 + " + "-(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+    ],
+)
+def test_nesting_beyond_the_limit_is_rejected_at_its_offset(source):
+    with pytest.raises(PhaseExprError) as excinfo:
+        parse_phase_expr(source)
+    # the first '(' or unary '-' past the limit
+    assert excinfo.value.position == [k for k, ch in enumerate(source) if ch in "(-"][MAX_NESTING]
+    assert "nesting" in str(excinfo.value)

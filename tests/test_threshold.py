@@ -235,7 +235,7 @@ def test_probability_weights_cover_every_strategy_uniformly_per_orbit():
 
 
 def test_drivers_build_each_quantum_table_once(monkeypatch):
-    calls = {"joint_probabilities": 0, "correlation_matrix": 0}
+    calls = {"pure_coincidences": 0, "joint_probabilities": 0, "correlation_matrix": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
@@ -245,9 +245,10 @@ def test_drivers_build_each_quantum_table_once(monkeypatch):
         monkeypatch.setattr(threshold, name, counted)
     cfg = builtin_config("paper-qutrit")
     probability_threshold(cfg)
-    assert calls == {"joint_probabilities": cfg.n_alice * cfg.n_bob, "correlation_matrix": 0}
+    pairs = cfg.n_alice * cfg.n_bob
+    assert calls == {"pure_coincidences": pairs, "joint_probabilities": 0, "correlation_matrix": 0}
     correlation_threshold(cfg)
-    assert calls == {"joint_probabilities": 4, "correlation_matrix": 1}
+    assert calls == {"pure_coincidences": 4, "joint_probabilities": 0, "correlation_matrix": 1}
 
 
 def test_visibility_pinned_above_threshold_is_infeasible():
@@ -350,9 +351,10 @@ def central_difference(function, cfg, step=1e-6):
     return np.moveaxis(np.array(columns), (0, 1), (-2, -1))
 
 
-SENSITIVITIES = (
-    (threshold._correlation_sensitivity, threshold._correlation_statistics),
-    (threshold._symmetric_sensitivity, threshold._symmetric_statistics),
+# the statistics each scan method builds its LP from, and dmatched/dphase
+DERIVATIVES = (
+    (threshold._correlation_statistics, threshold._correlation_derivatives),
+    (threshold._symmetric_statistics, threshold._symmetric_derivatives),
 )
 
 
@@ -374,14 +376,13 @@ def test_matched_phase_derivatives_match_central_differences():
     configs += [near_optimal_config(rng, n) for n in (3, 5)]
     configs.append(random_config(rng, 3, 3, 2))
     for cfg in configs:
-        for sensitivity, statistics in SENSITIVITIES:
-            block, matched, offset, derivatives = sensitivity(cfg)
-            # the scan's LP rows are the driver's
-            _, _, driver_block, _, driver_matched, driver_offset = statistics(cfg)
-            assert block is driver_block and offset == driver_offset
-            assert np.array_equal(matched, driver_matched)
+        for statistics, derivative in DERIVATIVES:
+            _, _, block, _, matched, _ = statistics(cfg)
+            derivatives = derivative(cfg)
+            # one derivative row per LP block row
+            assert len(block) == matched.size
             assert derivatives.shape == (matched.size, cfg.n_alice + cfg.n_bob, cfg.dimension)
-            numeric = central_difference(lambda c: sensitivity(c)[1], cfg)
+            numeric = central_difference(lambda c: statistics(c)[4], cfg)
             assert np.max(np.abs(derivatives - numeric)) <= 1e-8
 
 
@@ -393,16 +394,18 @@ def test_visibility_gradient_matches_central_differences():
     for dimension in (3, 3, 3, 3, 4, 4, 4, 4):
         for draw in (random_config, near_optimal_config):
             cfg = draw(rng, dimension)
-            for sensitivity, _ in SENSITIVITIES:
-                block, matched, offset, _ = sensitivity(cfg)
+            for statistics, derivative in DERIVATIVES:
+                _, _, block, _, matched, offset = statistics(cfg)
                 solution = solve(threshold._visibility_lp(block, matched, offset, cap=False))
                 assert solution.status == "optimal"
                 if solution.x[list(solution.basis)].min() < 1e-6:
                     continue
-                v, gradient = threshold._uncapped_visibility(cfg, sensitivity)
+                v, prices = threshold._uncapped_visibility(cfg, statistics)
                 assert v == pytest.approx(solution.objective_value, abs=1e-12)
+                # the gradient the scan's BFGS objective forms
+                gradient = v * np.tensordot(prices, derivative(cfg), axes=1)
                 numeric = central_difference(
-                    lambda c: threshold._uncapped_visibility(c, sensitivity)[0], cfg
+                    lambda c: threshold._uncapped_visibility(c, statistics)[0], cfg
                 )
                 assert np.max(np.abs(gradient - numeric)) <= 1e-7
                 checked += 1
@@ -415,9 +418,25 @@ def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
         ((0.0, 0.0), (0.0, -math.pi)),
         ((0.0, -math.pi / 2), (0.0, math.pi / 2)),
     )
-    v, gradient = threshold._uncapped_visibility(cfg, threshold._symmetric_sensitivity)
+    v, prices = threshold._uncapped_visibility(cfg, threshold._symmetric_statistics)
     assert v == math.inf
-    assert not gradient.any()
+    assert not prices.any()
+
+
+def test_scan_probes_build_no_derivatives(monkeypatch):
+    # the golden-section probes read V* alone, so most LP solves of a restart
+    # build no phase derivatives
+    calls = {"pure_coincidence_derivatives": 0, "solve": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, name, counted)
+    scan(3, 1, 0, "prob")
+    assert calls["solve"] > 0
+    assert calls["pure_coincidence_derivatives"] < 2 * calls["solve"]
 
 
 def test_scan_validation():
@@ -492,9 +511,9 @@ def test_scan_restarts_ignore_roundoff_in_visibility(monkeypatch, pool_histories
     for pattern in ((1e-15, -1e-15), (-1e-15, -1e-15, 1e-15)):
         shifts = itertools.cycle(pattern)
 
-        def nudged_visibility(config, sensitivity):
-            v, gradient = uncapped(config, sensitivity)
-            return v + next(shifts), gradient
+        def nudged_visibility(config, statistics):
+            v, prices = uncapped(config, statistics)
+            return v + next(shifts), prices
 
         monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
         for seed in POOL_SEEDS:
