@@ -3,10 +3,11 @@
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
 threshold problems in this package rather than generality: the rows are
 first reduced to an orthonormal basis of A's row space (the threshold LPs
-are rank-deficient), a feasible starting basis named by the caller skips
-phase 1, pivoting is deterministic (largest reduced cost, largest pivot
-element on ties), Bland's rule is engaged after a stall to guarantee
-termination, and any reported optimum gets a from-scratch certificate check.
+are rank-deficient), the first feasible one of the starting bases named by
+the caller skips phase 1, pivoting is deterministic (largest reduced cost,
+largest pivot element on ties), Bland's rule is engaged after a stall to
+guarantee termination, and any reported optimum gets a from-scratch
+certificate check.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class CertificateReport:
 @dataclass
 class _Counter:
     iterations: int = 0
+    refactorized: int = -1  # the iteration count at the last refactorization
 
 
 class _Scratch:
@@ -203,7 +205,7 @@ def _row_space(
     return u, u.T @ a, rhs
 
 
-def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolution:
+def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolution:
     """Two-phase simplex on the independent rows; exact status reporting.
 
     The equalities are first replaced by an orthonormal basis of their row
@@ -214,11 +216,14 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
     (residual, variable signs): pivot roundoff can end a solve "failed",
     never with a silently wrong answer.
 
-    ``start`` (distinct structural columns, else ValueError) replaces phase 1
-    if it has one column per independent row, passes the strict refactorization
-    and leaves no basic value below -feasibility_tol; else it is ignored.  An
-    optimal solution carries its ``basis``, a start for LPs with the same A, b,
-    and its ``dual`` y over the original rows (b.y is the optimum and
+    ``starts`` are candidate starting bases, tried in order (each one
+    distinct structural columns, else ValueError).  The first that has one
+    column per independent row, passes the strict refactorization and leaves
+    no basic value below -CERTIFICATE_VARIABLE_TOL replaces phase 1, so its
+    values already pass the final sign check; a rejected candidate leaves the
+    solve as it was, and if none is accepted phase 1 runs.  An optimal
+    solution carries its ``basis``, a start for LPs with the same A, b, and
+    its ``dual`` y over the original rows (b.y is the optimum and
     c - A^T y <= 0): the reduced rows' prices, the negated reduced costs of
     the artificial columns in the verified final tableau, mapped back by U.
     """
@@ -227,10 +232,10 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
     b0 = lp.rhs
     n = c.size
     counter = _Counter()
-    if start is not None:
-        start = np.array([operator.index(j) for j in start], dtype=int)
+    starts = [np.array([operator.index(j) for j in start], dtype=int) for start in starts]
+    for start in starts:
         if np.unique(start).size != start.size or not np.all((start >= 0) & (start < n)):
-            raise ValueError(f"start must name distinct columns in 0..{n - 1}")
+            raise ValueError(f"a start must name distinct columns in 0..{n - 1}")
 
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, counter.iterations, detail)
@@ -270,6 +275,7 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
         if cond > 1e12:
             return False
         tableau[:m] = fresh
+        counter.refactorized = counter.iterations
         return True
 
     def optimize_verified(costs: np.ndarray) -> str:
@@ -278,9 +284,12 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
         status = _optimize(tableau, basis, n, counter, 5 * (m + n), scratch)
         if status == "cap":
             return f"iteration cap {ITERATION_CAP} hit"
-        if not refactorize():
-            return "ill-conditioned basis on refactorization"
-        _install_objective(tableau, basis, costs)
+        # without a pivot since the last refactorization, a second one would
+        # rebuild the same rows from the same basis
+        if counter.iterations != counter.refactorized:
+            if not refactorize():
+                return "ill-conditioned basis on refactorization"
+            _install_objective(tableau, basis, costs)
         if float(tableau[:m, -1].min(initial=0.0)) < -feasibility_tol:
             return "primal infeasible on refactorization"
         improving = tableau[-1, :n] > PIVOT_TOL
@@ -290,14 +299,20 @@ def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolutio
         return "optimal" if not improving.any() else "dual infeasible on refactorization"
 
     def accepts(columns: np.ndarray) -> bool:
+        if columns.size != m:
+            return False
         basis[:] = columns
-        if refactorize() and float(tableau[:m, -1].min(initial=0.0)) >= -feasibility_tol:
+        if (
+            refactorize()
+            and float(tableau[:m, -1].min(initial=0.0)) >= -CERTIFICATE_VARIABLE_TOL
+        ):
             return True
         basis[:] = np.arange(n, total)
         tableau[:m] = data
+        counter.refactorized = -1
         return False
 
-    if start is None or start.size != m or not accepts(start):
+    if not any(accepts(start) for start in starts):
         status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
         if status != "optimal":
             return unsolved("failed", f"phase 1 {status}")

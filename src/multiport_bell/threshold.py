@@ -22,7 +22,9 @@ largest threshold with seeded random restarts.  Each restart minimizes V*,
 the optimum of the drivers' LP without the cap on V, which keeps changing
 where the capped V_thr sits at 1: one golden-section sweep over every phase
 on V* alone, then BFGS on the gradient the LP's optimal dual gives in
-closed form.
+closed form.  Consecutive LPs of a restart differ in the V column only, so
+each one is solved from the restart's last optimal basis while that stays
+feasible, else from the V=0 basis the drivers start from.
 """
 
 from __future__ import annotations
@@ -253,14 +255,16 @@ def _visibility_lp(
 _START_BASES: dict[tuple, tuple[int, ...]] = {}
 
 
-def _solve_threshold_lp(config: ExperimentConfig, statistics, cap: bool):
+def _solve_threshold_lp(
+    config: ExperimentConfig, statistics, cap: bool, previous: tuple[int, ...] | None = None
+):
     """The statistics of config and the solution of their threshold LP.
 
-    The solve starts from a feasible V=0 basis kept per (statistics, cap, N,
-    n_alice, n_bob): only column k (V) depends on the phases, so the LP
-    without it, and its basis of strategy columns (and the cap slack, if the
-    LP has the cap row), are the same for every config of the shape,
-    whichever comes first.
+    The solve tries the basis ``previous`` first, if given, then a feasible
+    V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
+    (V) depends on the phases, so the LP without it, and its basis of
+    strategy columns (and the cap slack, if the LP has the cap row), are the
+    same for every config of the shape, whichever comes first.
     """
     stats = strategies, _, block, _, matched, offset = statistics(config)
     lp = _visibility_lp(block, matched, offset, cap=cap)
@@ -270,7 +274,8 @@ def _solve_threshold_lp(config: ExperimentConfig, statistics, cap: bool):
         a = np.delete(lp.constraint_matrix, k, axis=1)
         fixed = LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs)
         _START_BASES[key] = tuple(j + (j >= k) for j in solve(fixed).basis or ())
-    return stats, solve(lp, start=_START_BASES[key])
+    starts = [_START_BASES[key]] if previous is None else [previous, _START_BASES[key]]
+    return stats, solve(lp, starts=starts)
 
 
 def _threshold(
@@ -364,17 +369,22 @@ def _symmetric_derivatives(config: ExperimentConfig) -> np.ndarray:
     return by_phase.reshape(-1, *uses.shape[1:], n)
 
 
-def _uncapped_visibility(config: ExperimentConfig, statistics) -> tuple[float, np.ndarray]:
-    """V* and the optimal dual prices of the LP block rows; V* = inf with zero
-    prices where the LP is unbounded (every table uniform)."""
-    (strategies, _, block, *_), solution = _solve_threshold_lp(config, statistics, cap=False)
+def _uncapped_visibility(
+    config: ExperimentConfig, statistics, previous: tuple[int, ...] | None
+) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
+    """V*, the optimal dual prices of the LP block rows and the optimal basis,
+    solved from the basis ``previous`` if it is still feasible; V* = inf with
+    zero prices and no basis where the LP is unbounded (every table uniform)."""
+    (strategies, _, block, *_), solution = _solve_threshold_lp(
+        config, statistics, cap=False, previous=previous
+    )
     if solution.status == "unbounded":
-        return math.inf, np.zeros(len(block))
+        return math.inf, np.zeros(len(block)), None
     if solution.status != "optimal":
         raise SolverFailure(
             f"uncapped threshold LP ended with status {solution.status}: {solution.detail}"
         )
-    return float(solution.x[len(strategies)]), solution.dual[: len(block)]
+    return float(solution.x[len(strategies)]), solution.dual[: len(block)], solution.basis
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -485,12 +495,17 @@ def scan(
         raise ValueError(f"unknown method {method!r} (known: corr, prob)")
     threshold, statistics, derivatives = methods[method]
 
+    def visibility(config: ExperimentConfig) -> tuple[float, np.ndarray]:
+        nonlocal basis
+        v, prices, basis = _uncapped_visibility(config, statistics, basis)
+        return v, prices
+
     def objective(vector: np.ndarray) -> float:
-        return -_uncapped_visibility(_vector_config(dimension, vector), statistics)[0]
+        return -visibility(_vector_config(dimension, vector))[0]
 
     def objective_and_gradient(vector: np.ndarray) -> tuple[float, np.ndarray]:
         config = _vector_config(dimension, vector)
-        v, prices = _uncapped_visibility(config, statistics)
+        v, prices = visibility(config)
         if v == math.inf:
             return -v, np.zeros(vector.size)
         gradient = v * np.tensordot(prices, derivatives(config), axes=1)
@@ -500,6 +515,7 @@ def scan(
     best_value = -math.inf
     best_vector: np.ndarray | None = None
     for index in range(restarts):
+        basis = None  # the optimal basis of the restart's last uncapped LP
         rng = np.random.default_rng([seed, index])
         vector = rng.uniform(0.0, 2.0 * math.pi, size=4 * (dimension - 1))
         try:

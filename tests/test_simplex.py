@@ -149,14 +149,60 @@ def test_rejected_start_solves_as_without_one():
     cold = solve(lp)
     assert cold.status == "optimal" and cold.objective_value == pytest.approx(2.0)
     for start in ([0], [0, 2, 3], [0, 1], [0, 2]):
-        sol = solve(lp, start=start)
+        sol = solve(lp, starts=[start])
         assert sol.status == cold.status
         assert sol.objective_value == cold.objective_value
         assert sol.iterations == cold.iterations
         assert np.array_equal(sol.x, cold.x)
     for start in ([0, 4], [-1, 2], [2, 2]):
         with pytest.raises(ValueError):
-            solve(lp, start=start)
+            solve(lp, starts=[start])
+
+
+def test_start_with_slightly_negative_value_is_rejected():
+    # from (1, 2) the basic value of x1 is -5e-10: inside the 1e-9 feasibility
+    # tolerance, but below the -1e-10 the final sign check allows
+    lp = LinearProgram([1.0, 0.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [1.0, 5e-10])
+    cold = solve(lp)
+    sol = solve(lp, starts=[[1, 2]])
+    assert sol.status == cold.status == "optimal"
+    assert sol.objective_value == cold.objective_value
+    assert sol.iterations == cold.iterations
+    assert np.array_equal(sol.x, cold.x)
+
+
+def test_optimal_start_refactorizes_once(monkeypatch):
+    lp, _, _ = random_feasible_lp(np.random.default_rng(20261101))
+    cold = solve(lp)
+    calls = 0
+    factorize = np.linalg.solve
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return factorize(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    again = solve(lp, starts=[cold.basis])
+    assert again.status == "optimal" and again.iterations == 0
+    assert calls == 1
+    assert again.objective_value == cold.objective_value
+    assert np.array_equal(again.x, cold.x)
+
+
+def test_rejected_first_start_falls_through_to_the_second():
+    # (0, 2) leaves x2 = -1, so the solve goes on to the optimal basis (1, 3)
+    lp = LinearProgram(
+        [1.0, 2.0, 0.0, 0.0], [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]], [1.0, 2.0]
+    )
+    second = solve(lp, starts=[solve(lp).basis])
+    both = solve(lp, starts=[[0, 2], second.basis])
+    assert both.status == second.status == "optimal"
+    assert both.iterations == second.iterations == 0
+    assert both.objective_value == second.objective_value
+    assert np.array_equal(both.x, second.x)
+    assert both.basis == second.basis
+    assert np.array_equal(both.dual, second.dual)
 
 
 def test_degenerate_cycling_prone_lp_terminates():
@@ -193,7 +239,7 @@ def test_against_scipy_on_random_instances():
         assert sol.status == "optimal" and status == 0
         assert sol.objective_value == pytest.approx(reference, abs=1e-7)
         assert_dual_certifies(lp, sol)
-        again = solve(lp, start=sol.basis)
+        again = solve(lp, starts=[sol.basis])
         assert again.status == "optimal" and again.iterations == 0
         assert again.objective_value == sol.objective_value
         assert check_certificate(lp, again).passed
