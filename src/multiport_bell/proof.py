@@ -201,38 +201,33 @@ def run_proof(config: ExperimentConfig | None = None) -> ProofReport:
     sums = [stack[idx].sum(axis=0) for idx in members]
     b1, b10, b13 = base_matrices()
     identity_dev = _maxdev(b1 + b10 - b13)
-    try:
-        tags = [match_base_scaling(g) for g in sums]
-    except ValueError as exc:
-        record("g_matrix_algebra", False, str(exc), None)
-        tags = None
-    if tags is not None:
-        pair_tags, fixed_tags = tags[: len(pairs)], tags[len(pairs) :]
-        b1_powers = sorted(t for s, t, b in pair_tags if b == 0 and s == 1)
-        b10_powers = sorted(t for s, t, b in pair_tags if b == 1 and s == 1)
-        neg_b13_powers = sorted(t for s, t, b in pair_tags if b == 2 and s == -1)
-        fixed_ok = sorted(fixed_tags) == [(1, 0, 2), (1, 1, 2), (1, 2, 2)]
-        coincidences = sum(
-            1
-            for a, b_ in combinations(range(len(pairs)), 2)
-            if _maxdev(sums[a] - sums[b_]) <= _SCALING_TOL
-        )
-        structure_ok = (
-            b1_powers == [0, 1, 2]
-            and b10_powers == [0, 1, 2]
-            and neg_b13_powers == [0, 0, 1, 1, 2, 2]
-            and fixed_ok
-            and coincidences == 3
-            and identity_dev <= 1e-12
-        )
-        record(
-            "g_matrix_algebra",
-            structure_ok,
-            f"base multiplicities {{B1: {len(b1_powers)}, B10: {len(b10_powers)}, "
-            f"-B13: {len(neg_b13_powers)}}}, {coincidences} coincident pair sums, "
-            f"|B1 + B10 - B13| = {identity_dev:.2e}",
-            identity_dev,
-        )
+    tags = [match_base_scaling(g) for g in sums]
+    pair_tags, fixed_tags = tags[: len(pairs)], tags[len(pairs) :]
+    b1_powers = sorted(t for s, t, b in pair_tags if b == 0 and s == 1)
+    b10_powers = sorted(t for s, t, b in pair_tags if b == 1 and s == 1)
+    neg_b13_powers = sorted(t for s, t, b in pair_tags if b == 2 and s == -1)
+    fixed_ok = sorted(fixed_tags) == [(1, 0, 2), (1, 1, 2), (1, 2, 2)]
+    coincidences = sum(
+        1
+        for a, b_ in combinations(range(len(pairs)), 2)
+        if _maxdev(sums[a] - sums[b_]) <= _SCALING_TOL
+    )
+    structure_ok = (
+        b1_powers == [0, 1, 2]
+        and b10_powers == [0, 1, 2]
+        and neg_b13_powers == [0, 0, 1, 1, 2, 2]
+        and fixed_ok
+        and coincidences == 3
+        and identity_dev <= 1e-12
+    )
+    record(
+        "g_matrix_algebra",
+        structure_ok,
+        f"base multiplicities {{B1: {len(b1_powers)}, B10: {len(b10_powers)}, "
+        f"-B13: {len(neg_b13_powers)}}}, {coincidences} coincident pair sums, "
+        f"|B1 + B10 - B13| = {identity_dev:.2e}",
+        identity_dev,
+    )
 
     # 6: expansion Q = l1*B1 + l10*B10 with the closed-form coefficients.
     basis = np.stack([b1.reshape(-1), b10.reshape(-1)], axis=1)
@@ -242,7 +237,7 @@ def run_proof(config: ExperimentConfig | None = None) -> ProofReport:
     expected_l10 = complex(1.0 / 6.0 - 1.0 / (3.0 * SQRT3), 1.0 / 9.0 + 1.0 / (2.0 * SQRT3))
     span_dev = _maxdev(basis @ coeffs - q.reshape(-1))
     dev = max(span_dev, abs(l1 - expected_l1), abs(l10 - expected_l10))
-    four = _basis_strategy_rows(tags, members, stack) if tags is not None else None
+    four = _basis_strategy_rows(tags, members, stack)
     rank_ok = four is not None and np.linalg.matrix_rank(four, tol=1e-9) == 4
     record(
         "basis_expansion",

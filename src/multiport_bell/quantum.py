@@ -26,8 +26,6 @@ import numpy as np
 
 PhaseVector = tuple[float, ...]
 
-UNITARITY_TOL = 1e-12
-
 
 def _require_dimension(dimension: int) -> None:
     if not isinstance(dimension, (int, np.integer)) or isinstance(dimension, bool):

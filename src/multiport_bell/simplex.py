@@ -97,39 +97,22 @@ class _Counter:
     refactorized: int = -1  # the iteration count at the last refactorization
 
 
-class _Scratch:
-    """Preallocated work arrays; the pivot update dominates solver runtime."""
-
-    def __init__(self, rows: int, width: int) -> None:
-        self.ratios = np.empty(rows)
-        self.rhs = np.empty(rows)
-        self.column = np.empty(rows + 1)
-        self.update = np.empty((rows + 1, width))
-
-
-def _pivot(
-    tableau: np.ndarray, basis: np.ndarray, row: int, col: int, scratch: _Scratch
-) -> None:
-    np.multiply(tableau[row], 1.0 / tableau[row, col], out=tableau[row])
-    np.copyto(scratch.column, tableau[:, col])
-    scratch.column[row] = 0.0
-    np.multiply.outer(scratch.column, tableau[row], out=scratch.update)
-    tableau -= scratch.update
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tableau[row] *= 1.0 / tableau[row, col]
+    column = tableau[:, col].copy()
+    column[row] = 0.0
+    tableau -= np.outer(column, tableau[row])
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
 def _optimize(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    n_enterable: int,
-    counter: _Counter,
-    stall_limit: int,
-    scratch: _Scratch,
+    tableau: np.ndarray, basis: np.ndarray, n_enterable: int, counter: _Counter
 ) -> str:
     """Run simplex iterations until optimality, unboundedness, or the cap."""
     m = basis.size
+    stall_limit = 5 * (m + n_enterable)
     best_objective = -math.inf
     stalled = 0
     bland = False
@@ -155,18 +138,17 @@ def _optimize(
         # roundoff can leave tiny negative basic values; clamping them for the
         # ratio test keeps degenerate rows tied at zero, where the tie-break
         # below can choose a well-scaled pivot element
-        np.maximum(tableau[:m, -1], 0.0, out=scratch.rhs)
-        scratch.ratios.fill(np.inf)
-        np.divide(scratch.rhs, column, out=scratch.ratios, where=eligible)
-        least = scratch.ratios.min()
-        ties = np.nonzero(scratch.ratios <= least + 1e-12 * max(1.0, least))[0]
+        ratios = np.full(m, np.inf)
+        np.divide(np.maximum(tableau[:m, -1], 0.0), column, out=ratios, where=eligible)
+        least = ratios.min()
+        ties = np.nonzero(ratios <= least + 1e-12 * max(1.0, least))[0]
         if bland:
             # lowest leaving index, required for anti-cycling
             row = int(ties[np.argmin(basis[ties])])
         else:
             # largest pivot element among ties, for numerical stability
             row = int(ties[np.argmax(column[ties])])
-        _pivot(tableau, basis, row, col, scratch)
+        _pivot(tableau, basis, row, col)
         counter.iterations += 1
         objective = -tableau[-1, -1]
         if objective > best_objective + 1e-12:
@@ -250,7 +232,6 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     data = np.column_stack([a_ext, b])
     tableau = np.vstack([data, np.zeros(total + 1)])
     basis = np.arange(n, total)
-    scratch = _Scratch(m, total + 1)
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
     def refactorize() -> bool:
@@ -281,7 +262,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     def optimize_verified(costs: np.ndarray) -> str:
         """Optimize, then check the verdict once against refactorized data."""
         _install_objective(tableau, basis, costs)
-        status = _optimize(tableau, basis, n, counter, 5 * (m + n), scratch)
+        status = _optimize(tableau, basis, n, counter)
         if status == "cap":
             return f"iteration cap {ITERATION_CAP} hit"
         # without a pivot since the last refactorization, a second one would
@@ -326,7 +307,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
             col = int(np.argmax(entries))
             if entries[col] <= 1e-7:
                 return unsolved("failed", f"no pivot for the artificial on row {row}")
-            _pivot(tableau, basis, row, col, scratch)
+            _pivot(tableau, basis, row, col)
             counter.iterations += 1
 
     status = optimize_verified(np.concatenate([c, np.zeros(m)]))

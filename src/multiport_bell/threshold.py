@@ -264,7 +264,8 @@ def _solve_threshold_lp(
     V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
     (V) depends on the phases, so the LP without it, and its basis of
     strategy columns (and the cap slack, if the LP has the cap row), are the
-    same for every config of the shape, whichever comes first.
+    same for every config of the shape, whichever comes first.  Raises
+    SolverFailure unless the LP ends optimal, or unbounded without the cap.
     """
     stats = strategies, _, block, _, matched, offset = statistics(config)
     lp = _visibility_lp(block, matched, offset, cap=cap)
@@ -275,7 +276,12 @@ def _solve_threshold_lp(
         fixed = LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs)
         _START_BASES[key] = tuple(j + (j >= k) for j in solve(fixed).basis or ())
     starts = [_START_BASES[key]] if previous is None else [previous, _START_BASES[key]]
-    return stats, solve(lp, starts=starts)
+    solution = solve(lp, starts=starts)
+    if solution.status != "optimal" and (cap or solution.status != "unbounded"):
+        raise SolverFailure(
+            f"threshold LP ended with status {solution.status}: {solution.detail}"
+        )
+    return stats, solution
 
 
 def _threshold(
@@ -290,10 +296,6 @@ def _threshold(
     (strategies, table, _, point, _, offset), solution = _solve_threshold_lp(
         config, statistics, cap=True
     )
-    if solution.status != "optimal":
-        raise SolverFailure(
-            f"threshold LP ended with status {solution.status}: {solution.detail}"
-        )
     k = len(strategies)
     weights = solution.x[:k]
     v = float(min(max(solution.x[k], 0.0), 1.0))
@@ -380,10 +382,6 @@ def _uncapped_visibility(
     )
     if solution.status == "unbounded":
         return math.inf, np.zeros(len(block)), None
-    if solution.status != "optimal":
-        raise SolverFailure(
-            f"uncapped threshold LP ended with status {solution.status}: {solution.detail}"
-        )
     return float(solution.x[len(strategies)]), solution.dual[: len(block)], solution.basis
 
 

@@ -108,6 +108,12 @@ def random_feasible_lp(rng: np.random.Generator) -> tuple[LinearProgram, float, 
     return LinearProgram(c, a, b), float(c @ x_star), float(y @ b)
 
 
+def assert_dual_certifies(lp: LinearProgram, solution) -> None:
+    """Strong duality and dual feasibility of an optimal solution's prices."""
+    assert abs(lp.rhs @ solution.dual - solution.objective_value) <= 1e-9
+    assert np.max(lp.objective - lp.constraint_matrix.T @ solution.dual) <= 1e-9
+
+
 def lp_random_failures(cases: int = 500, seed: int = 20260814) -> int:
     rng = np.random.default_rng(seed)
     failures = 0

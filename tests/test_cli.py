@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from multiport_bell import threshold
 from multiport_bell.cli import main
+from multiport_bell.simplex import LPSolution
 
 V_QUTRIT = (6 * math.sqrt(3) - 9) / 2
 
@@ -196,3 +198,20 @@ def test_scan_csv_to_unwritable_path_exits_2(tmp_path, capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--builtin", "paper-qutrit"],
+        ["scan", "--dimension", "3", "--restarts", "1", "--seed", "0"],
+    ],
+)
+def test_solver_failure_exits_3(monkeypatch, capsys, argv):
+    def forced_failure(*args, **kwargs):
+        return LPSolution("failed", math.nan, None, math.nan, 0, "forced")
+
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    monkeypatch.setattr(threshold, "solve", forced_failure)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("solver failure:")

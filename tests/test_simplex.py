@@ -12,7 +12,7 @@ from multiport_bell.simplex import (
 )
 from multiport_bell.threshold import builtin_config, correlation_lp
 
-from _properties import lp_random_failures, random_feasible_lp
+from _properties import assert_dual_certifies, lp_random_failures, random_feasible_lp
 
 
 def scipy_value(lp):
@@ -32,12 +32,6 @@ def test_simple_optimal():
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
-
-
-def assert_dual_certifies(lp, sol):
-    # strong duality and dual feasibility of the reported prices
-    assert abs(lp.rhs @ sol.dual - sol.objective_value) <= 1e-9
-    assert np.max(lp.objective - lp.constraint_matrix.T @ sol.dual) <= 1e-9
 
 
 def test_contradictory_equalities_infeasible():
@@ -206,23 +200,30 @@ def test_rejected_first_start_falls_through_to_the_second():
 
 
 def test_degenerate_cycling_prone_lp_terminates():
-    # Beale's classic example, rewritten in equality form with slacks
-    a = np.array(
-        [
-            [0.25, -60.0, -1 / 25, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1 / 50, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    c = np.array([0.75, -150.0, 1 / 50, -6.0, 0.0, 0.0, 0.0])
-    b = np.array([0.0, 0.0, 1.0])
-    lp = LinearProgram(c, a, b)
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    status, reference = scipy_value(lp)
-    assert status == 0
-    assert sol.objective_value == pytest.approx(reference, abs=1e-9)
-    assert check_certificate(lp, sol).passed
+    lps = [
+        # Beale's classic example, rewritten in equality form with slacks
+        LinearProgram(
+            [0.75, -150.0, 1 / 50, -6.0, 0.0, 0.0, 0.0],
+            [
+                [0.25, -60.0, -1 / 25, 9.0, 1.0, 0.0, 0.0],
+                [0.5, -90.0, -1 / 50, 3.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+            ],
+            [0.0, 0.0, 1.0],
+        ),
+        # phase 1 ends with an artificial basic at zero, which the drive-out
+        # loop pivots onto a structural column; optimal at x = (1, 0)
+        LinearProgram([1.0, 1.0], [[-2.0, -2.0], [-2.0, 1.0]], [-2.0, -2.0]),
+    ]
+    for lp in lps:
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        status, reference = scipy_value(lp)
+        assert status == 0
+        assert sol.objective_value == pytest.approx(reference, abs=1e-9)
+        assert check_certificate(lp, sol).passed
+        assert all(j < lp.n_cols for j in sol.basis)
+        assert solve(lp, starts=[sol.basis]).iterations == 0
 
 
 def test_random_feasible_property_suite():

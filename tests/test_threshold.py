@@ -12,7 +12,7 @@ from multiport_bell.quantum import (
     joint_probabilities,
     pure_coincidences,
 )
-from multiport_bell.simplex import check_certificate, solve
+from multiport_bell.simplex import LPSolution, SolverFailure, check_certificate, solve
 from multiport_bell.strategies import (
     canonicalize,
     distinct_matrices,
@@ -27,6 +27,8 @@ from multiport_bell.threshold import (
     probability_threshold,
     scan,
 )
+
+from _properties import assert_dual_certifies
 
 V_QUTRIT = (6 * math.sqrt(3) - 9) / 2
 F_QUTRIT = (11 - 6 * math.sqrt(3)) / 2
@@ -300,6 +302,7 @@ def test_thresholds_match_scipy_reference():
             )
             assert mine.status == "optimal" and reference.status == 0
             assert mine.objective_value == pytest.approx(-reference.fun, abs=1e-7)
+            assert_dual_certifies(lp, mine)
             # the driver starts from the cached V=0 basis, skipping phase 1
             result = driver(cfg)
             assert result.v_thr == pytest.approx(-reference.fun, abs=1e-7)
@@ -396,8 +399,10 @@ def test_visibility_gradient_matches_central_differences():
             cfg = draw(rng, dimension)
             for statistics, derivative in DERIVATIVES:
                 _, _, block, _, matched, offset = statistics(cfg)
-                solution = solve(threshold._visibility_lp(block, matched, offset, cap=False))
+                lp = threshold._visibility_lp(block, matched, offset, cap=False)
+                solution = solve(lp)
                 assert solution.status == "optimal"
+                assert_dual_certifies(lp, solution)
                 if solution.x[list(solution.basis)].min() < 1e-6:
                     continue
                 v, prices, _ = threshold._uncapped_visibility(cfg, statistics, None)
@@ -465,6 +470,45 @@ def test_previous_basis_starts_keep_scan_restarts_at_optimum():
     history = scan(3, 2, 21, "prob").history
     assert not any(math.isnan(f) for _, f in history)
     assert all(f >= 0.30384 for _, f in history)
+
+
+def forced_failure(*args, **kwargs):
+    return LPSolution("failed", math.nan, None, math.nan, 0, "forced")
+
+
+def test_drivers_raise_solver_failure_on_failed_lp(monkeypatch):
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    monkeypatch.setattr(threshold, "solve", forced_failure)
+    for driver in (correlation_threshold, probability_threshold):
+        with pytest.raises(SolverFailure) as failure:
+            driver(builtin_config("paper-qutrit"))
+        assert str(failure.value) == "threshold LP ended with status failed: forced"
+
+
+def test_scan_records_failed_restart_as_nan(monkeypatch):
+    unpatched = scan(3, 2, 0, "prob").history
+    # an empty start cache makes call 1 its V=0 basis; call 3 is restart 0's
+    # second uncapped LP
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    calls = 0
+    original = threshold.solve
+
+    def fails_once(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return forced_failure() if calls == 3 else original(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "solve", fails_once)
+    history = scan(3, 2, 0, "prob").history
+    assert history[0][0] == 0 and math.isnan(history[0][1])
+    assert history[1] == unpatched[1]
+
+
+def test_scan_with_every_restart_failed_raises(monkeypatch):
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    monkeypatch.setattr(threshold, "solve", forced_failure)
+    with pytest.raises(SolverFailure, match="^every scan restart failed$"):
+        scan(3, 2, 0, "prob")
 
 
 def test_scan_validation():
