@@ -1,13 +1,14 @@
-"""Dense two-phase simplex for equality-form linear programs.
+"""Dense two-phase revised simplex for equality-form linear programs.
 
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
 threshold problems in this package rather than generality: the rows are
 first reduced to an orthonormal basis of A's row space (the threshold LPs
 are rank-deficient), the first feasible one of the starting bases named by
-the caller skips phase 1, pivoting is deterministic (largest reduced cost,
-largest pivot element on ties), Bland's rule is engaged after a stall to
-guarantee termination, and any reported optimum gets a from-scratch
-certificate check.
+the caller skips phase 1, each pivot updates only the m x m basis inverse
+and the basic values (prices and reduced costs are recomputed from them),
+pivoting is deterministic (largest reduced cost, largest pivot element on
+ties), Bland's rule is engaged after a stall to guarantee termination, and
+any reported optimum gets a from-scratch certificate check.
 """
 
 from __future__ import annotations
@@ -97,39 +98,48 @@ class _Counter:
     refactorized: int = -1  # the iteration count at the last refactorization
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] *= 1.0 / tableau[row, col]
-    column = tableau[:, col].copy()
+def _pivot(
+    inverse: np.ndarray, basis: np.ndarray, column: np.ndarray, row: int, col: int
+) -> None:
+    """Enter ``col``, whose basis-inverse image is ``column``, on ``row``:
+    one rank-1 update of [B^-1 | x_B]."""
+    inverse[row] *= 1.0 / column[row]
+    column = column.copy()
     column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    inverse -= column[:, None] * inverse[row]
     basis[row] = col
 
 
 def _optimize(
-    tableau: np.ndarray, basis: np.ndarray, n_enterable: int, counter: _Counter
+    a: np.ndarray, costs: np.ndarray, inverse: np.ndarray, basis: np.ndarray, counter: _Counter
 ) -> str:
-    """Run simplex iterations until optimality, unboundedness, or the cap."""
-    m = basis.size
-    stall_limit = 5 * (m + n_enterable)
+    """Run simplex iterations until optimality, unboundedness, or the cap.
+
+    ``inverse`` is [B^-1 | x_B]: the basis inverse and the basic values.
+    Only the structural columns of ``a`` may enter; ``costs`` also prices the
+    artificial columns that may still be basic.
+    """
+    m, n = a.shape
+    if n == 0:
+        return "optimal"
+    binv, values = inverse[:, :m], inverse[:, m]
+    stall_limit = 5 * (m + n)
+    objective = float(costs[basis] @ values)
     best_objective = -math.inf
     stalled = 0
     bland = False
-    if n_enterable == 0:
-        return "optimal"
     while True:
-        reduced = tableau[-1, :n_enterable]
+        reduced = costs[:n] - costs[basis] @ binv @ a
         if bland:
             positive = np.nonzero(reduced > PIVOT_TOL)[0]
             if positive.size == 0:
                 return "optimal"
             col = int(positive[0])
         else:
-            col = int(np.argmax(reduced))
+            col = int(reduced.argmax())
             if reduced[col] <= PIVOT_TOL:
                 return "optimal"
-        column = tableau[:m, col]
+        column = binv @ a[:, col]
         eligible = column > PIVOT_TOL
         if not eligible.any():
             return "unbounded"
@@ -139,18 +149,19 @@ def _optimize(
         # ratio test keeps degenerate rows tied at zero, where the tie-break
         # below can choose a well-scaled pivot element
         ratios = np.full(m, np.inf)
-        np.divide(np.maximum(tableau[:m, -1], 0.0), column, out=ratios, where=eligible)
+        np.divide(np.maximum(values, 0.0), column, out=ratios, where=eligible)
         least = ratios.min()
         ties = np.nonzero(ratios <= least + 1e-12 * max(1.0, least))[0]
         if bland:
             # lowest leaving index, required for anti-cycling
-            row = int(ties[np.argmin(basis[ties])])
+            row = int(ties[basis[ties].argmin()])
         else:
             # largest pivot element among ties, for numerical stability
-            row = int(ties[np.argmax(column[ties])])
-        _pivot(tableau, basis, row, col)
+            row = int(ties[column[ties].argmax()])
+        _pivot(inverse, basis, column, row, col)
         counter.iterations += 1
-        objective = -tableau[-1, -1]
+        # the entering variable's new value times its reduced cost
+        objective += float(reduced[col] * values[row])
         if objective > best_objective + 1e-12:
             best_objective = objective
             stalled = 0
@@ -158,13 +169,6 @@ def _optimize(
             stalled += 1
             if stalled > stall_limit:
                 bland = True
-
-
-def _install_objective(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
-    """Write the reduced-cost row for ``costs`` given the current basis."""
-    row = np.concatenate([costs, [0.0]])
-    row -= tableau[: basis.size].T @ costs[basis]
-    tableau[-1] = row
 
 
 def _row_space(
@@ -191,9 +195,9 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     """Two-phase simplex on the independent rows; exact status reporting.
 
     The equalities are first replaced by an orthonormal basis of their row
-    space, so redundant rows never reach the tableau and every phase-1
-    artificial leaves the basis.  Each phase's verdict is re-checked once
-    against a tableau refactorized from that data (basis condition, primal
+    space, so redundant rows never reach the basis and every phase-1
+    artificial leaves it.  Each phase's verdict is re-checked once against
+    a basis inverse refactorized from that data (basis condition, primal
     and dual feasibility), and an optimum against the original rows
     (residual, variable signs): pivot roundoff can end a solve "failed",
     never with a silently wrong answer.
@@ -206,8 +210,8 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     solve as it was, and if none is accepted phase 1 runs.  An optimal
     solution carries its ``basis``, a start for LPs with the same A, b, and
     its ``dual`` y over the original rows (b.y is the optimum and
-    c - A^T y <= 0): the reduced rows' prices, the negated reduced costs of
-    the artificial columns in the verified final tableau, mapped back by U.
+    c - A^T y <= 0): the reduced rows' prices c_B B^-1 from the verified
+    final basis inverse, mapped back by U.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
@@ -228,19 +232,20 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     u, a, b = reduced
     m = b.size
     total = n + m
-    a_ext = np.hstack([a, np.eye(m)])
-    data = np.column_stack([a_ext, b])
-    tableau = np.vstack([data, np.zeros(total + 1)])
+    data = np.column_stack([a, np.eye(m), b])
     basis = np.arange(n, total)
+    # [B^-1 | x_B], with views on its two parts
+    inverse = data[:, n:].copy()
+    binv, values = inverse[:, :m], inverse[:, m]
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
     def refactorize() -> bool:
-        """Rebuild the constraint rows as basis-inverse times the data.
+        """Rebuild the basis inverse and the basic values from the data.
 
         Returns False when the basis is ill-conditioned, so the answer from
         a meaningless inverse can never be accepted.
         """
-        matrix = a_ext[:, basis]
+        matrix = data[:, basis]
         try:
             fresh = np.linalg.solve(matrix, data)
         except np.linalg.LinAlgError:
@@ -255,41 +260,35 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         )
         if cond > 1e12:
             return False
-        tableau[:m] = fresh
+        inverse[:] = fresh[:, n:]
         counter.refactorized = counter.iterations
         return True
 
     def optimize_verified(costs: np.ndarray) -> str:
         """Optimize, then check the verdict once against refactorized data."""
-        _install_objective(tableau, basis, costs)
-        status = _optimize(tableau, basis, n, counter)
+        status = _optimize(a, costs, inverse, basis, counter)
         if status == "cap":
             return f"iteration cap {ITERATION_CAP} hit"
         # without a pivot since the last refactorization, a second one would
-        # rebuild the same rows from the same basis
-        if counter.iterations != counter.refactorized:
-            if not refactorize():
-                return "ill-conditioned basis on refactorization"
-            _install_objective(tableau, basis, costs)
-        if float(tableau[:m, -1].min(initial=0.0)) < -feasibility_tol:
+        # rebuild the same inverse from the same basis
+        if counter.iterations != counter.refactorized and not refactorize():
+            return "ill-conditioned basis on refactorization"
+        if float(values.min(initial=0.0)) < -feasibility_tol:
             return "primal infeasible on refactorization"
-        improving = tableau[-1, :n] > PIVOT_TOL
+        improving = np.nonzero(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)[0]
         if status == "unbounded":
-            rays = improving & np.all(tableau[:m, :n] <= PIVOT_TOL, axis=0)
+            rays = np.all(binv @ a[:, improving] <= PIVOT_TOL, axis=0)
             return "unbounded" if rays.any() else "ray lost on refactorization"
-        return "optimal" if not improving.any() else "dual infeasible on refactorization"
+        return "dual infeasible on refactorization" if improving.size else "optimal"
 
     def accepts(columns: np.ndarray) -> bool:
         if columns.size != m:
             return False
         basis[:] = columns
-        if (
-            refactorize()
-            and float(tableau[:m, -1].min(initial=0.0)) >= -CERTIFICATE_VARIABLE_TOL
-        ):
+        if refactorize() and float(values.min(initial=0.0)) >= -CERTIFICATE_VARIABLE_TOL:
             return True
         basis[:] = np.arange(n, total)
-        tableau[:m] = data
+        inverse[:] = data[:, n:]
         counter.refactorized = -1
         return False
 
@@ -297,27 +296,28 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
         if status != "optimal":
             return unsolved("failed", f"phase 1 {status}")
-        artificial_sum = float(tableau[:m, -1][basis >= n].sum())
+        artificial_sum = float(values[basis >= n].sum())
         if artificial_sum > feasibility_tol:
             return unsolved("infeasible", f"artificial residue {artificial_sum:.3e}")
         # the rows are independent, so every artificial left at zero has a
         # structural column to pivot on; take the largest entry
         for row in np.nonzero(basis >= n)[0]:
-            entries = np.abs(tableau[row, :n])
+            entries = np.abs(binv[row] @ a)
             col = int(np.argmax(entries))
             if entries[col] <= 1e-7:
                 return unsolved("failed", f"no pivot for the artificial on row {row}")
-            _pivot(tableau, basis, row, col)
+            _pivot(inverse, basis, binv @ a[:, col], row, col)
             counter.iterations += 1
 
-    status = optimize_verified(np.concatenate([c, np.zeros(m)]))
+    costs = np.concatenate([c, np.zeros(m)])
+    status = optimize_verified(costs)
     if status == "unbounded":
         return LPSolution("unbounded", math.inf, None, math.nan, counter.iterations, "")
     if status != "optimal":
         return unsolved("failed", f"phase 2 {status}")
 
     x_full = np.zeros(total)
-    x_full[basis] = tableau[:m, -1]
+    x_full[basis] = values
     x = x_full[:n].copy()
     residual = float(np.abs(a0 @ x - b0).max(initial=0.0))
     if float(x.min(initial=0.0)) < -CERTIFICATE_VARIABLE_TOL:
@@ -325,7 +325,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     if residual > CERTIFICATE_RESIDUAL_TOL:
         return unsolved("failed", f"residual {residual:.3e}")
     final = tuple(basis.tolist())
-    dual = u @ -tableau[-1, n:total]
+    dual = u @ (costs[basis] @ binv)
     return LPSolution(
         "optimal", float(c @ x), x, residual, counter.iterations, "", final, dual
     )

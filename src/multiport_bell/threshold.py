@@ -264,8 +264,10 @@ def _solve_threshold_lp(
     V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
     (V) depends on the phases, so the LP without it, and its basis of
     strategy columns (and the cap slack, if the LP has the cap row), are the
-    same for every config of the shape, whichever comes first.  Raises
-    SolverFailure unless the LP ends optimal, or unbounded without the cap.
+    same for every config of the shape, whichever comes first.  Only an
+    optimal V=0 solve is kept; after any other the next call tries again.
+    Raises SolverFailure unless the LP ends optimal, or unbounded without
+    the cap.
     """
     stats = strategies, _, block, _, matched, offset = statistics(config)
     lp = _visibility_lp(block, matched, offset, cap=cap)
@@ -273,9 +275,10 @@ def _solve_threshold_lp(
     key = (statistics, cap, config.dimension, config.n_alice, config.n_bob)
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
-        fixed = LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs)
-        _START_BASES[key] = tuple(j + (j >= k) for j in solve(fixed).basis or ())
-    starts = [_START_BASES[key]] if previous is None else [previous, _START_BASES[key]]
+        fixed = solve(LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs))
+        if fixed.status == "optimal":
+            _START_BASES[key] = tuple(j + (j >= k) for j in fixed.basis)
+    starts = [s for s in (previous, _START_BASES.get(key)) if s is not None]
     solution = solve(lp, starts=starts)
     if solution.status != "optimal" and (cap or solution.status != "unbounded"):
         raise SolverFailure(

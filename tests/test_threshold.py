@@ -262,6 +262,34 @@ def test_visibility_pinned_above_threshold_is_infeasible():
     assert solve(achievable).status == "optimal"
 
 
+def highs(lp):
+    return linprog(
+        -lp.objective,
+        A_eq=lp.constraint_matrix,
+        b_eq=lp.rhs,
+        bounds=(0, None),
+        method="highs",
+    )
+
+
+@pytest.mark.parametrize("seed", [20261137, 20261100])  # V_thr 0.914 and 1
+def test_full_probability_lp_pinned_around_threshold_at_n5(seed):
+    cfg = random_config(np.random.default_rng(seed), 5)
+    lp, strategies = probability_lp(cfg)
+    solution = solve(lp)
+    assert solution.status == "optimal" and check_certificate(lp, solution).passed
+    v_thr = float(solution.x[len(strategies)])
+    assert v_thr == pytest.approx(-highs(lp).fun, abs=1e-9)
+    below, _ = probability_lp(cfg, pin_visibility=v_thr - 1e-4)
+    pinned, reference = solve(below), highs(below)
+    assert pinned.status == "optimal" and reference.status == 0
+    assert pinned.objective_value == pytest.approx(-reference.fun, abs=1e-9)
+    assert_dual_certifies(below, pinned)
+    above, _ = probability_lp(cfg, pin_visibility=v_thr + 1e-4)
+    assert solve(above).status == "infeasible"
+    assert highs(above).status == 2
+
+
 def test_certificate_at_threshold_optimum():
     lp, _ = correlation_lp(builtin_config("paper-qutrit"))
     solution = solve(lp)
@@ -293,13 +321,7 @@ def test_thresholds_match_scipy_reference():
         ):
             lp, _ = build(cfg)
             mine = solve(lp)
-            reference = linprog(
-                -lp.objective,
-                A_eq=lp.constraint_matrix,
-                b_eq=lp.rhs,
-                bounds=(0, None),
-                method="highs",
-            )
+            reference = highs(lp)
             assert mine.status == "optimal" and reference.status == 0
             assert mine.objective_value == pytest.approx(-reference.fun, abs=1e-7)
             assert_dual_certifies(lp, mine)
@@ -483,6 +505,25 @@ def test_drivers_raise_solver_failure_on_failed_lp(monkeypatch):
         with pytest.raises(SolverFailure) as failure:
             driver(builtin_config("paper-qutrit"))
         assert str(failure.value) == "threshold LP ended with status failed: forced"
+
+
+def test_failed_start_basis_solve_is_retried(monkeypatch):
+    cfg = builtin_config("paper-qutrit")
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    fresh = correlation_threshold(cfg).lp_iterations
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    calls = 0
+    original = threshold.solve
+
+    def fails_first(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return forced_failure() if calls == 1 else original(*args, **kwargs)
+
+    # call 1 is the V=0 solve that fills the empty cache
+    monkeypatch.setattr(threshold, "solve", fails_first)
+    assert correlation_threshold(cfg).v_thr == pytest.approx(V_QUTRIT, abs=1e-12)
+    assert correlation_threshold(cfg).lp_iterations == fresh
 
 
 def test_scan_records_failed_restart_as_nan(monkeypatch):
