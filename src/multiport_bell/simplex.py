@@ -1,14 +1,24 @@
 """Dense two-phase revised simplex for equality-form linear programs.
 
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
-threshold problems in this package rather than generality: the rows are
-first reduced to an orthonormal basis of A's row space (the threshold LPs
-are rank-deficient), the first feasible one of the starting bases named by
-the caller skips phase 1, each pivot updates only the m x m basis inverse
-and the basic values (prices and reduced costs are recomputed from them),
-pivoting is deterministic (largest reduced cost, largest pivot element on
-ties), Bland's rule is engaged after a stall to guarantee termination, and
-any reported optimum gets a from-scratch certificate check.
+threshold problems in this package rather than generality:
+
+- the rows are first reduced to an orthonormal basis of A's row space.
+  Only some threshold LPs need it: the full probability LPs are
+  rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83 of rank 26, 66 x 258
+  of rank 50, 102 x 627 of rank 82 at N=5), and so is the N=2 correlation
+  LP (10 x 10 of rank 6), while the driver LPs at N >= 3 have full row
+  rank.  The reduction takes the left singular vectors from an SVD of A,
+  or, for A with at least 16 rows and more columns than rows, from an SVD
+  of the m x m triangle of a QR of A^T;
+- the first feasible one of the starting bases named by the caller skips
+  phase 1;
+- each pivot updates only the m x m basis inverse and the basic values
+  (prices and reduced costs are recomputed from them);
+- pivoting is deterministic (largest reduced cost, largest pivot element
+  on ties), and Bland's rule is engaged after a stall to guarantee
+  termination;
+- any reported optimum gets a from-scratch certificate check.
 """
 
 from __future__ import annotations
@@ -177,10 +187,19 @@ def _row_space(
     """An orthonormal basis U of A's column space and the equalities
     U^T A x = U^T b over A's row space, as (U, U^T A, U^T b).
 
+    U holds the left singular vectors of A whose singular values exceed
+    RANK_TOL times the largest.  An A with at least 16 rows and more
+    columns than rows shares them with the m x m triangle R^T of A^T = QR
+    (Chan's R-SVD), whose SVD never forms the m x n right factor: 7 ms
+    against 17 ms at 102 x 627.  Smaller A keep the plain SVD, which is as
+    fast or faster at 10 rows.
+
     Returns None when b lies outside A's column space, so that A x = b has
     no solution at all.
     """
-    u, singular, _ = np.linalg.svd(a, full_matrices=False)
+    m, n = a.shape
+    factor = np.linalg.qr(a.T, mode="r").T if 16 <= m < n else a
+    u, singular, _ = np.linalg.svd(factor, full_matrices=False)
     u = u[:, singular > RANK_TOL * singular.max(initial=0.0)]
     # orient rows so the right-hand side is nonnegative
     u *= np.where(u.T @ b < 0.0, -1.0, 1.0)

@@ -114,6 +114,19 @@ def assert_dual_certifies(lp: LinearProgram, solution) -> None:
     assert np.max(lp.objective - lp.constraint_matrix.T @ solution.dual) <= 1e-9
 
 
+def record_qr_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every matrix that np.linalg.qr factorizes."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def recorded(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return qr(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return shapes
+
+
 def lp_random_failures(cases: int = 500, seed: int = 20260814) -> int:
     rng = np.random.default_rng(seed)
     failures = 0

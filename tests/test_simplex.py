@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from multiport_bell import simplex
+from multiport_bell import simplex, threshold
+from multiport_bell.quantum import ExperimentConfig
 from multiport_bell.simplex import (
     LinearProgram,
     check_certificate,
     solve,
 )
-from multiport_bell.threshold import builtin_config, correlation_lp
+from multiport_bell.threshold import builtin_config, correlation_lp, probability_lp
 
-from _properties import assert_dual_certifies, lp_random_failures, random_feasible_lp
+from _properties import (
+    assert_dual_certifies,
+    lp_random_failures,
+    random_feasible_lp,
+    record_qr_shapes,
+)
 
 
 def scipy_value(lp):
@@ -260,3 +266,65 @@ def test_against_scipy_on_random_instances():
         sol = solve(inconsistent)
         assert sol.status == "infeasible" and sol.dual is None
         assert scipy_value(inconsistent)[0] == 2
+
+
+def full_probability_lp(dimension, pin_visibility=None):
+    phases = np.random.default_rng(20261200 + dimension).uniform(0, 2 * np.pi, (4, dimension))
+    cfg = ExperimentConfig(dimension, tuple(map(tuple, phases[:2])), tuple(map(tuple, phases[2:])))
+    return probability_lp(cfg, pin_visibility=pin_visibility)[0]
+
+
+def rank_deficient_matrix():
+    rng = np.random.default_rng(20261201)
+    return rng.normal(size=(24, 15)) @ rng.normal(size=(15, 60))
+
+
+@pytest.mark.parametrize(
+    "matrix, rank",
+    [
+        pytest.param(lambda: full_probability_lp(3).constraint_matrix, 26, id="38x83"),
+        pytest.param(lambda: full_probability_lp(4).constraint_matrix, 50, id="66x258"),
+        pytest.param(lambda: full_probability_lp(5).constraint_matrix, 82, id="102x627"),
+        pytest.param(lambda: full_probability_lp(5, 0.5).constraint_matrix, 83, id="103x628"),
+        pytest.param(rank_deficient_matrix, 15, id="random-24x60"),
+    ],
+)
+def test_wide_row_space_through_qr_matches_svd(monkeypatch, matrix, rank):
+    a = matrix()
+    shapes = record_qr_shapes(monkeypatch)
+    u, reduced, _ = simplex._row_space(a, a @ np.ones(a.shape[1]))
+    assert shapes == [a.T.shape]
+    singular = np.linalg.svd(a, compute_uv=False)
+    kept = singular > simplex.RANK_TOL * singular[0]
+    assert u.shape == (a.shape[0], rank) and kept.sum() == rank
+    # U^T A keeps exactly the nonzero singular values of A
+    assert np.allclose(
+        np.linalg.svd(reduced, compute_uv=False), singular[kept], rtol=1e-12, atol=0.0
+    )
+    v = np.linalg.svd(a, full_matrices=False)[0][:, kept]
+    assert np.abs(u @ u.T - v @ v.T).max() <= 1e-12
+
+
+def test_wide_lp_with_rhs_outside_column_space_is_infeasible(monkeypatch):
+    a = rank_deficient_matrix()
+    b = a @ np.ones(a.shape[1])
+    b[0] += 1.0
+    shapes = record_qr_shapes(monkeypatch)
+    sol = solve(LinearProgram(np.zeros(a.shape[1]), a, b))
+    assert shapes == [a.T.shape]
+    assert sol.status == "infeasible"
+    assert sol.detail == "rhs outside the column space of A"
+
+
+def test_ten_row_lps_never_factorize_by_qr(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    # an empty cache makes the drivers solve their V=0 LPs too
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    cfg = builtin_config("paper-qutrit")
+    v_qutrit = (6 * math.sqrt(3) - 9) / 2
+    assert threshold.correlation_threshold(cfg).v_thr == pytest.approx(v_qutrit, abs=1e-12)
+    assert threshold.probability_threshold(cfg).v_thr == pytest.approx(v_qutrit, abs=1e-12)
+    assert threshold.scan(3, 1, 0, "prob").best_f_thr == pytest.approx(1 - v_qutrit, abs=1e-9)
