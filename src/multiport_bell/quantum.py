@@ -86,8 +86,7 @@ class ExperimentConfig:
 def fourier_matrix(dimension: int) -> np.ndarray:
     """Transition matrix of an unbiased multiport: (k, l) -> gamma**(k*l)/sqrt(N)."""
     _require_dimension(dimension)
-    k = np.arange(dimension)
-    return np.exp(2j * np.pi / dimension * np.outer(k, k)) / math.sqrt(dimension)
+    return _fourier_phases(dimension) / math.sqrt(dimension)
 
 
 def observable_unitary(setting: Sequence[float]) -> np.ndarray:
@@ -203,7 +202,6 @@ def correlation_derivatives(
 
 def correlation_matrix(config: ExperimentConfig, noise: float = 0.0) -> np.ndarray:
     """All correlation values arranged as an n_alice x n_bob complex matrix."""
-    _require_noise(noise)
     return np.array(
         [
             [correlation_value(config, i, j, noise) for j in range(config.n_bob)]

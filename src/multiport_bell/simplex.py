@@ -102,12 +102,6 @@ class CertificateReport:
     passed: bool
 
 
-@dataclass
-class _Counter:
-    iterations: int = 0
-    refactorized: int = -1  # the iteration count at the last refactorization
-
-
 def _pivot(
     inverse: np.ndarray, basis: np.ndarray, column: np.ndarray, row: int, col: int
 ) -> None:
@@ -120,10 +114,34 @@ def _pivot(
     basis[row] = col
 
 
+def _factorize(data: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """[B^-1 | x_B] of the ``basis`` columns of ``data`` = [A | I | b].
+
+    Returns None when the basis is ill-conditioned, so the answer from a
+    meaningless inverse can never be accepted.
+    """
+    m = data.shape[0]
+    matrix = data[:, basis]
+    try:
+        fresh = np.linalg.solve(matrix, data)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(fresh).all() or np.abs(fresh).max(initial=0.0) > 1e8:
+        return None
+    inverse = fresh[:, -m - 1 :].copy()
+    # the infinity-norm condition number, without extra factorizations
+    cond = float(
+        np.abs(matrix).sum(axis=1).max(initial=0.0)
+        * np.abs(inverse[:, :m]).sum(axis=1).max(initial=0.0)
+    )
+    return None if cond > 1e12 else inverse
+
+
 def _optimize(
-    a: np.ndarray, costs: np.ndarray, inverse: np.ndarray, basis: np.ndarray, counter: _Counter
-) -> str:
-    """Run simplex iterations until optimality, unboundedness, or the cap.
+    a: np.ndarray, costs: np.ndarray, inverse: np.ndarray, basis: np.ndarray, budget: int
+) -> tuple[str, int]:
+    """Run simplex iterations until optimality, unboundedness, or ``budget``
+    pivots ("cap"); returns the verdict and the pivots made.
 
     ``inverse`` is [B^-1 | x_B]: the basis inverse and the basic values.
     Only the structural columns of ``a`` may enter; ``costs`` also prices the
@@ -131,11 +149,12 @@ def _optimize(
     """
     m, n = a.shape
     if n == 0:
-        return "optimal"
+        return "optimal", 0
     binv, values = inverse[:, :m], inverse[:, m]
     stall_limit = 5 * (m + n)
     objective = float(costs[basis] @ values)
     best_objective = -math.inf
+    pivots = 0
     stalled = 0
     bland = False
     while True:
@@ -143,18 +162,18 @@ def _optimize(
         if bland:
             positive = np.nonzero(reduced > PIVOT_TOL)[0]
             if positive.size == 0:
-                return "optimal"
+                return "optimal", pivots
             col = int(positive[0])
         else:
             col = int(reduced.argmax())
             if reduced[col] <= PIVOT_TOL:
-                return "optimal"
+                return "optimal", pivots
         column = binv @ a[:, col]
         eligible = column > PIVOT_TOL
         if not eligible.any():
-            return "unbounded"
-        if counter.iterations >= ITERATION_CAP:
-            return "cap"
+            return "unbounded", pivots
+        if pivots >= budget:
+            return "cap", pivots
         # roundoff can leave tiny negative basic values; clamping them for the
         # ratio test keeps degenerate rows tied at zero, where the tie-break
         # below can choose a well-scaled pivot element
@@ -169,7 +188,7 @@ def _optimize(
             # largest pivot element among ties, for numerical stability
             row = int(ties[column[ties].argmax()])
         _pivot(inverse, basis, column, row, col)
-        counter.iterations += 1
+        pivots += 1
         # the entering variable's new value times its reduced cost
         objective += float(reduced[col] * values[row])
         if objective > best_objective + 1e-12:
@@ -236,62 +255,38 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     a0 = lp.constraint_matrix
     b0 = lp.rhs
     n = c.size
-    counter = _Counter()
+    iterations = 0
     starts = [np.array([operator.index(j) for j in start], dtype=int) for start in starts]
     for start in starts:
         if np.unique(start).size != start.size or not np.all((start >= 0) & (start < n)):
             raise ValueError(f"a start must name distinct columns in 0..{n - 1}")
 
     def unsolved(status: str, detail: str) -> LPSolution:
-        return LPSolution(status, math.nan, None, math.nan, counter.iterations, detail)
+        return LPSolution(status, math.nan, None, math.nan, iterations, detail)
 
     reduced = _row_space(a0, b0)
     if reduced is None:
         return unsolved("infeasible", "rhs outside the column space of A")
     u, a, b = reduced
     m = b.size
-    total = n + m
     data = np.column_stack([a, np.eye(m), b])
-    basis = np.arange(n, total)
-    # [B^-1 | x_B], with views on its two parts
-    inverse = data[:, n:].copy()
-    binv, values = inverse[:, :m], inverse[:, m]
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
-
-    def refactorize() -> bool:
-        """Rebuild the basis inverse and the basic values from the data.
-
-        Returns False when the basis is ill-conditioned, so the answer from
-        a meaningless inverse can never be accepted.
-        """
-        matrix = data[:, basis]
-        try:
-            fresh = np.linalg.solve(matrix, data)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.isfinite(fresh).all() or np.abs(fresh).max(initial=0.0) > 1e8:
-            return False
-        # fresh[:, n:total] is the basis inverse, so the infinity-norm
-        # condition number is available without extra factorizations
-        cond = float(
-            np.abs(matrix).sum(axis=1).max(initial=0.0)
-            * np.abs(fresh[:, n:total]).sum(axis=1).max(initial=0.0)
-        )
-        if cond > 1e12:
-            return False
-        inverse[:] = fresh[:, n:]
-        counter.refactorized = counter.iterations
-        return True
 
     def optimize_verified(costs: np.ndarray) -> str:
         """Optimize, then check the verdict once against refactorized data."""
-        status = _optimize(a, costs, inverse, basis, counter)
+        nonlocal inverse, factorized, iterations
+        status, pivots = _optimize(a, costs, inverse, basis, ITERATION_CAP - iterations)
+        iterations += pivots
         if status == "cap":
             return f"iteration cap {ITERATION_CAP} hit"
-        # without a pivot since the last refactorization, a second one would
+        # without a pivot since the last factorization, a second one would
         # rebuild the same inverse from the same basis
-        if counter.iterations != counter.refactorized and not refactorize():
-            return "ill-conditioned basis on refactorization"
+        if pivots or not factorized:
+            inverse = _factorize(data, basis)
+            if inverse is None:
+                return "ill-conditioned basis on refactorization"
+            factorized = True
+        binv, values = inverse[:, :m], inverse[:, m]
         if float(values.min(initial=0.0)) < -feasibility_tol:
             return "primal infeasible on refactorization"
         improving = np.nonzero(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)[0]
@@ -300,21 +295,20 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
             return "unbounded" if rays.any() else "ray lost on refactorization"
         return "dual infeasible on refactorization" if improving.size else "optimal"
 
-    def accepts(columns: np.ndarray) -> bool:
-        if columns.size != m:
-            return False
-        basis[:] = columns
-        if refactorize() and float(values.min(initial=0.0)) >= -CERTIFICATE_VARIABLE_TOL:
-            return True
-        basis[:] = np.arange(n, total)
-        inverse[:] = data[:, n:]
-        counter.refactorized = -1
-        return False
-
-    if not any(accepts(start) for start in starts):
+    # whether ``inverse`` was factorized from ``basis`` with no pivot since
+    factorized = True
+    for basis in starts:
+        inverse = _factorize(data, basis) if basis.size == m else None
+        if inverse is not None and inverse[:, m].min(initial=0.0) >= -CERTIFICATE_VARIABLE_TOL:
+            break
+    else:
+        basis = np.arange(n, n + m)
+        inverse = data[:, n:].copy()
+        factorized = False
         status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
         if status != "optimal":
             return unsolved("failed", f"phase 1 {status}")
+        binv, values = inverse[:, :m], inverse[:, m]
         artificial_sum = float(values[basis >= n].sum())
         if artificial_sum > feasibility_tol:
             return unsolved("infeasible", f"artificial residue {artificial_sum:.3e}")
@@ -326,27 +320,27 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
             if entries[col] <= 1e-7:
                 return unsolved("failed", f"no pivot for the artificial on row {row}")
             _pivot(inverse, basis, binv @ a[:, col], row, col)
-            counter.iterations += 1
+            iterations += 1
+            factorized = False
 
     costs = np.concatenate([c, np.zeros(m)])
     status = optimize_verified(costs)
     if status == "unbounded":
-        return LPSolution("unbounded", math.inf, None, math.nan, counter.iterations, "")
+        return LPSolution("unbounded", math.inf, None, math.nan, iterations, "")
     if status != "optimal":
         return unsolved("failed", f"phase 2 {status}")
 
-    x_full = np.zeros(total)
-    x_full[basis] = values
-    x = x_full[:n].copy()
+    # only structural columns are basic now
+    x = np.zeros(n)
+    x[basis] = inverse[:, m]
     residual = float(np.abs(a0 @ x - b0).max(initial=0.0))
     if float(x.min(initial=0.0)) < -CERTIFICATE_VARIABLE_TOL:
         return unsolved("failed", "negative variable")
     if residual > CERTIFICATE_RESIDUAL_TOL:
         return unsolved("failed", f"residual {residual:.3e}")
-    final = tuple(basis.tolist())
-    dual = u @ (costs[basis] @ binv)
+    dual = u @ (costs[basis] @ inverse[:, :m])
     return LPSolution(
-        "optimal", float(c @ x), x, residual, counter.iterations, "", final, dual
+        "optimal", float(c @ x), x, residual, iterations, "", tuple(basis.tolist()), dual
     )
 
 

@@ -128,11 +128,10 @@ def _correlation_data(
 @lru_cache(maxsize=None)
 def _probability_data(
     dimension: int, n_alice: int, n_bob: int
-) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
+) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray]:
     """All strategies and their 0/1 coincidence indicators, one column each.
 
-    Row ((i*n_bob + j)*N + a)*N + b is outcome pair (a, b) at settings (i, j);
-    the table doubles as the LP block.
+    Row ((i*n_bob + j)*N + a)*N + b is outcome pair (a, b) at settings (i, j).
     """
     strategies = tuple(enumerate_strategies(dimension, n_alice, n_bob))
     alice, bob = outcome_arrays(strategies)
@@ -140,8 +139,7 @@ def _probability_data(
     rows = (pair * dimension + alice[:, :, None]) * dimension + bob[:, None, :]
     indicator = np.zeros((n_alice * n_bob * dimension**2, len(strategies)))
     indicator[rows.reshape(len(strategies), -1).T, np.arange(len(strategies))] = 1.0
-    _frozen(indicator)
-    return strategies, indicator, indicator
+    return strategies, _frozen(indicator)
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +195,6 @@ def _correlation_statistics(config: ExperimentConfig):
     data = _correlation_data(config.dimension, config.n_alice, config.n_bob)
     point = correlation_matrix(config).reshape(-1)
     return (*data, point, np.concatenate([point.real, point.imag]), 0.0)
-
-
-def _probability_statistics(config: ExperimentConfig):
-    """Probability matching: the strategy indicators against the noiseless
-    coincidence tables, offset 1/N**2 (the uniform table)."""
-    data = _probability_data(config.dimension, config.n_alice, config.n_bob)
-    pairs = _settings_pairs(config)[0]
-    pure = np.concatenate([joint_probabilities(config, i, j).reshape(-1) for i, j in pairs])
-    return (*data, pure, pure, 1.0 / config.dimension**2)
 
 
 def _symmetric_statistics(config: ExperimentConfig):
@@ -332,9 +321,15 @@ def correlation_lp(
 def probability_lp(
     config: ExperimentConfig, pin_visibility: float | None = None
 ) -> tuple[LinearProgram, tuple[DeterministicStrategy, ...]]:
-    """LP matching every coincidence table of the noise-mixed state."""
-    strategies, _, block, _, matched, offset = _probability_statistics(config)
-    return _visibility_lp(block, matched, offset, pin_visibility=pin_visibility), strategies
+    """LP matching every coincidence table of the noise-mixed state: the
+    strategy indicators against the noiseless tables, offset 1/N**2 (the
+    uniform table)."""
+    n = config.dimension
+    strategies, indicator = _probability_data(n, config.n_alice, config.n_bob)
+    pairs = _settings_pairs(config)[0]
+    pure = np.concatenate([joint_probabilities(config, i, j).reshape(-1) for i, j in pairs])
+    lp = _visibility_lp(indicator, pure, 1.0 / n**2, pin_visibility=pin_visibility)
+    return lp, strategies
 
 
 def correlation_threshold(config: ExperimentConfig) -> ThresholdResult:

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from multiport_bell import threshold
+from multiport_bell import builtin_config, correlation_threshold, threshold
 from multiport_bell.cli import main
 from multiport_bell.simplex import LPSolution
 
@@ -157,8 +159,17 @@ def test_probabilities_table(capsys, config_path):
 
 
 def test_probabilities_bad_index(capsys, config_path):
-    assert main(["probabilities", "--config", config_path, "--alice", "5", "--bob", "0"]) == 2
-    assert main(["probabilities", "--config", config_path, "--alice", "0", "--bob", "-1"]) == 2
+    for alice, bob, party, index in [
+        ("5", "0", "alice", 5),
+        ("0", "2", "bob", 2),
+        ("-1", "0", "alice", -1),
+        ("0", "-1", "bob", -1),
+    ]:
+        argv = ["probabilities", "--config", config_path, "--alice", alice, "--bob", bob]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {party} setting index {index} out of range\n"
+        assert captured.out == ""
 
 
 def test_probabilities_bad_noise(capsys, config_path):
@@ -215,3 +226,16 @@ def test_solver_failure_exits_3(monkeypatch, capsys, argv):
     monkeypatch.setattr(threshold, "solve", forced_failure)
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("solver failure:")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_match_the_program(capsys):
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"### JSON output schema \(`threshold`\)\n\n```json\n(.*?)```", text, re.S)
+    assert main(["threshold", "--builtin", "paper-qutrit", "--json"]) == 0
+    assert json.loads(example.group(1)) == json.loads(capsys.readouterr().out)
+    printed = re.search(r"print\(result\.v_thr, result\.f_thr\) +# (\S+) (\S+)\n", text)
+    result = correlation_threshold(builtin_config("paper-qutrit"))
+    assert printed.groups() == (str(result.v_thr), str(result.f_thr))

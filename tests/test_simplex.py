@@ -190,6 +190,38 @@ def test_optimal_start_refactorizes_once(monkeypatch):
     assert np.array_equal(again.x, cold.x)
 
 
+def factorized(matrix, rhs):
+    """simplex._factorize of the basis made of the columns of ``matrix``."""
+    m = len(rhs)
+    data = np.column_stack([matrix, np.eye(m), rhs])
+    return simplex._factorize(data, np.arange(m))
+
+
+def test_factorize_rejects_a_singular_basis():
+    assert factorized([[1.0, 1.0], [2.0, 2.0]], [1.0, 1.0]) is None
+
+
+def test_factorize_rejects_a_condition_number_above_1e12():
+    # every entry of B^-1 [B | I | b] stays below 1e8: only the condition
+    # number, 1e7 * 1e6, rules the basis out
+    assert factorized(np.diag([1e7, 1e-6]), [1.0, 1e-6]) is None
+
+
+def test_factorize_rejects_an_entry_above_1e8():
+    # condition number 1e9, but B^-1 has the entry 1e9
+    assert factorized(np.diag([1e-9, 1.0]), [1.0, 1.0]) is None
+
+
+def test_factorize_well_conditioned_basis_gives_inverse_and_values():
+    rng = np.random.default_rng(20261019)
+    matrix = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
+    rhs = rng.normal(size=4)
+    inverse = factorized(matrix, rhs)
+    expected = np.linalg.inv(matrix)
+    assert np.abs(inverse[:, :4] - expected).max() <= 1e-12
+    assert np.abs(inverse[:, 4] - expected @ rhs).max() <= 1e-12
+
+
 def test_rejected_first_start_falls_through_to_the_second():
     # (0, 2) leaves x2 = -1, so the solve goes on to the optimal basis (1, 3)
     lp = LinearProgram(

@@ -142,7 +142,7 @@ def test_probability_weights_reconstruct_mixed_tables():
 
 def test_probability_indicator_matches_loop_reference():
     for dimension, n_alice, n_bob in [(2, 2, 2), (3, 2, 2), (4, 1, 3), (3, 3, 2)]:
-        strategies, indicator, block = threshold._probability_data(dimension, n_alice, n_bob)
+        strategies, indicator = threshold._probability_data(dimension, n_alice, n_bob)
         assert strategies == tuple(enumerate_strategies(dimension, n_alice, n_bob))
         n = dimension
         expected = np.zeros((n_alice * n_bob * n * n, len(strategies)))
@@ -152,7 +152,6 @@ def test_probability_indicator_matches_loop_reference():
                     row = ((i * n_bob + j) * n + strat.alice[i]) * n + strat.bob[j]
                     expected[row, idx] = 1.0
         assert np.array_equal(indicator, expected)
-        assert block is indicator
 
 
 def test_symmetric_indicator_matches_loop_reference():
@@ -331,6 +330,53 @@ def test_thresholds_match_scipy_reference():
             driver_iterations += result.lp_iterations
             plain_iterations += mine.iterations
     assert driver_iterations < plain_iterations
+
+
+# restart 4 of scan(4, 6, 25, "corr") when every uncapped LP is solved without
+# the restart's previous basis: its 9 x 65 uncapped correlation LP
+RATIO_TEST_CONFIG = ExperimentConfig(
+    4,
+    (
+        (0.0, 0.750203121593238, 0.7692283458492376, 0.758955889976107),
+        (0.0, 3.891729143858129, 3.9107131540253683, 0.7589256367127314),
+    ),
+    (
+        (0.0, 6.318510835512287, 5.514079525133955, 6.3096948261615475),
+        (0.0, 0.035114946742420605, 2.3722812613910547, 3.168042324072745),
+    ),
+)
+
+
+def ratio_test_lp():
+    _, _, block, _, matched, offset = threshold._correlation_statistics(RATIO_TEST_CONFIG)
+    lp = threshold._visibility_lp(block, matched, offset, cap=False)
+    assert lp.constraint_matrix.shape == (9, 65)
+    return lp
+
+
+def test_ratio_test_lp_solves_cold():
+    lp = ratio_test_lp()
+    solution, reference = solve(lp), highs(lp)
+    assert solution.status == "optimal" and reference.status == 0
+    assert solution.objective_value == pytest.approx(-reference.fun, abs=1e-9)
+    assert solution.objective_value == pytest.approx(0.7071067834, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    raises=SolverFailure,
+    strict=True,
+    reason="from the V=0 start, V enters on a degenerate row at pivot element 1.04e-9, "
+    "just above PIVOT_TOL, and 9 pivots later the solve ends 'negative variable'",
+)
+def test_ratio_test_lp_solves_from_the_zero_visibility_start(monkeypatch):
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    (strategies, *_), solution = threshold._solve_threshold_lp(
+        RATIO_TEST_CONFIG, threshold._correlation_statistics, cap=False
+    )
+    lp = ratio_test_lp()
+    assert solution.status == "optimal"
+    assert solution.x[len(strategies)] == pytest.approx(-highs(lp).fun, abs=1e-9)
+    assert_dual_certifies(lp, solution)
 
 
 def test_thresholds_independent_of_start_cache_state():
