@@ -12,9 +12,14 @@ threshold problems in this package rather than generality:
   or, for A with at least 16 rows and more columns than rows, from an SVD
   of the m x m triangle of a QR of A^T;
 - the first feasible one of the starting bases named by the caller skips
-  phase 1;
+  phase 1.  Otherwise phase 1 runs on the reduced rows reflected by the
+  Householder matrix H with H b = |b| e_1, so that it starts with one
+  artificial above zero instead of all m (about a third fewer pivots at
+  102 x 627), and phase 2 starts from its basis factorized on the
+  unreflected rows;
 - each pivot updates only the m x m basis inverse and the basic values
-  (prices and reduced costs are recomputed from them);
+  (prices and reduced costs are recomputed from them), and a
+  refactorization solves the basis against [I | b] only;
 - pivoting is deterministic (largest reduced cost, largest pivot element
   on ties), and Bland's rule is engaged after a stall to guarantee
   termination;
@@ -115,20 +120,22 @@ def _pivot(
 
 
 def _factorize(data: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """[B^-1 | x_B] of the ``basis`` columns of ``data`` = [A | I | b].
+    """[B^-1 | x_B] of the ``basis`` columns of ``data`` = [A | I | b],
+    solved against [I | b] only.
 
-    Returns None when the basis is ill-conditioned, so the answer from a
-    meaningless inverse can never be accepted.
+    Returns None when the basis is ill-conditioned (an entry of B^-1,
+    x_B or B^-1 A above 1e8, or a condition number above 1e12), so the
+    answer from a meaningless inverse can never be accepted.
     """
     m = data.shape[0]
     matrix = data[:, basis]
     try:
-        fresh = np.linalg.solve(matrix, data)
+        inverse = np.linalg.solve(matrix, data[:, -m - 1 :])
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(fresh).all() or np.abs(fresh).max(initial=0.0) > 1e8:
-        return None
-    inverse = fresh[:, -m - 1 :].copy()
+    for block in (inverse, inverse[:, :m] @ data[:, : -m - 1]):
+        if not np.isfinite(block).all() or np.abs(block).max(initial=0.0) > 1e8:
+            return None
     # the infinity-norm condition number, without extra factorizations
     cond = float(
         np.abs(matrix).sum(axis=1).max(initial=0.0)
@@ -229,6 +236,25 @@ def _row_space(
     return u, u.T @ a, rhs
 
 
+def _reflected(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[H A | I | |b| e_1] for the Householder reflection H with H b = |b| e_1.
+
+    v = b - |b| e_1 takes its first entry in the cancellation-free form
+    -|b_2..m|^2 / (b_1 + |b|) (Golub & Van Loan, Algorithm 5.1.1), which
+    needs b_1 >= 0, as the orientation in ``_row_space`` ensures.
+    """
+    norm = float(np.linalg.norm(b))
+    tail = float(b[1:] @ b[1:])
+    rhs = np.zeros(b.size)
+    if tail > 0.0:
+        v = b.copy()
+        v[0] = -tail / (b[0] + norm)
+        v *= math.sqrt(2.0 / (v[0] ** 2 + tail))
+        a = a - np.outer(v, v @ a)
+    rhs[:1] = norm
+    return np.column_stack([a, np.eye(b.size), rhs])
+
+
 def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolution:
     """Two-phase simplex on the independent rows; exact status reporting.
 
@@ -245,7 +271,10 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     column per independent row, passes the strict refactorization and leaves
     no basic value below -CERTIFICATE_VARIABLE_TOL replaces phase 1, so its
     values already pass the final sign check; a rejected candidate leaves the
-    solve as it was, and if none is accepted phase 1 runs.  An optimal
+    solve as it was, and if none is accepted phase 1 runs, on the rows
+    reflected by ``_reflected``.  Phase 2 starts from a basis factorized on
+    the unreflected rows either way, so the answer depends on the final
+    basis only, not on the path to it.  An optimal
     solution carries its ``basis``, a start for LPs with the same A, b, and
     its ``dual`` y over the original rows (b.y is the optimum and
     c - A^T y <= 0): the reduced rows' prices c_B B^-1 from the verified
@@ -272,9 +301,11 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     data = np.column_stack([a, np.eye(m), b])
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
-    def optimize_verified(costs: np.ndarray) -> str:
-        """Optimize, then check the verdict once against refactorized data."""
+    def optimize_verified(costs: np.ndarray, data: np.ndarray) -> str:
+        """Optimize over ``data`` = [A | I | b], then check the verdict once
+        against refactorized data."""
         nonlocal inverse, factorized, iterations
+        a = data[:, :n]
         status, pivots = _optimize(a, costs, inverse, basis, ITERATION_CAP - iterations)
         iterations += pivots
         if status == "cap":
@@ -302,10 +333,13 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         if inverse is not None and inverse[:, m].min(initial=0.0) >= -CERTIFICATE_VARIABLE_TOL:
             break
     else:
+        # phase 1 runs on the rows reflected so that b = |b| e_1: it starts
+        # with a single artificial above zero
+        reflected = _reflected(a, b)
         basis = np.arange(n, n + m)
-        inverse = data[:, n:].copy()
+        inverse = reflected[:, n:].copy()
         factorized = False
-        status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]))
+        status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]), reflected)
         if status != "optimal":
             return unsolved("failed", f"phase 1 {status}")
         binv, values = inverse[:, :m], inverse[:, m]
@@ -315,16 +349,19 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         # the rows are independent, so every artificial left at zero has a
         # structural column to pivot on; take the largest entry
         for row in np.nonzero(basis >= n)[0]:
-            entries = np.abs(binv[row] @ a)
+            entries = np.abs(binv[row] @ reflected[:, :n])
             col = int(np.argmax(entries))
             if entries[col] <= 1e-7:
                 return unsolved("failed", f"no pivot for the artificial on row {row}")
-            _pivot(inverse, basis, binv @ a[:, col], row, col)
+            _pivot(inverse, basis, binv @ reflected[:, col], row, col)
             iterations += 1
-            factorized = False
+        # phase 2 starts from the same basis factorized on the unreflected rows
+        inverse = _factorize(data, basis)
+        if inverse is None:
+            return unsolved("failed", "phase 1 ill-conditioned basis on refactorization")
 
     costs = np.concatenate([c, np.zeros(m)])
-    status = optimize_verified(costs)
+    status = optimize_verified(costs, data)
     if status == "unbounded":
         return LPSolution("unbounded", math.inf, None, math.nan, iterations, "")
     if status != "optimal":

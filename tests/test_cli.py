@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,3 +242,26 @@ def test_readme_examples_match_the_program(capsys):
     printed = re.search(r"print\(result\.v_thr, result\.f_thr\) +# (\S+) (\S+)\n", text)
     result = correlation_threshold(builtin_config("paper-qutrit"))
     assert printed.groups() == (str(result.v_thr), str(result.f_thr))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(module, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["multiport_bell", "multiport_bell.cli"])
+def test_running_the_module_calls_main(capsys, config_path, module):
+    bad = run_module(module, "probabilities", "--config", config_path, "--alice", "5", "--bob", "0")
+    assert bad.returncode == 2
+    assert bad.stdout == b""
+    assert bad.stderr.startswith(b"error: alice setting index 5 out of range")
+    good = run_module(module, "threshold", "--builtin", "paper-qutrit", "--json")
+    assert main(["threshold", "--builtin", "paper-qutrit", "--json"]) == 0
+    assert good.returncode == 0
+    assert good.stdout.decode() == capsys.readouterr().out

@@ -172,8 +172,10 @@ def test_start_with_slightly_negative_value_is_rejected():
 
 
 def test_optimal_start_refactorizes_once(monkeypatch):
-    lp, _, _ = random_feasible_lp(np.random.default_rng(20261101))
-    cold = solve(lp)
+    # a full-rank LP, then rank-deficient full probability LPs, capped and
+    # pinned, whose cold phase 1 runs on reflected reduced rows
+    lps = [random_feasible_lp(np.random.default_rng(20261101))[0]]
+    lps += [full_probability_lp(n, pin) for n in (2, 3, 4) for pin in (None, 0.5)]
     calls = 0
     factorize = np.linalg.solve
 
@@ -182,16 +184,23 @@ def test_optimal_start_refactorizes_once(monkeypatch):
         calls += 1
         return factorize(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    again = solve(lp, starts=[cold.basis])
-    assert again.status == "optimal" and again.iterations == 0
-    assert calls == 1
-    assert again.objective_value == cold.objective_value
-    assert np.array_equal(again.x, cold.x)
+    for lp in lps:
+        cold = solve(lp)
+        assert cold.status == "optimal"
+        calls = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", counted)
+            again = solve(lp, starts=[cold.basis])
+        assert again.status == "optimal" and again.iterations == 0
+        assert calls == 1
+        assert again.objective_value == cold.objective_value
+        assert np.array_equal(again.x, cold.x)
+        assert np.array_equal(again.dual, cold.dual)
 
 
 def factorized(matrix, rhs):
-    """simplex._factorize of the basis made of the columns of ``matrix``."""
+    """simplex._factorize of the basis made of the first len(rhs) columns of
+    ``matrix``."""
     m = len(rhs)
     data = np.column_stack([matrix, np.eye(m), rhs])
     return simplex._factorize(data, np.arange(m))
@@ -210,6 +219,13 @@ def test_factorize_rejects_a_condition_number_above_1e12():
 def test_factorize_rejects_an_entry_above_1e8():
     # condition number 1e9, but B^-1 has the entry 1e9
     assert factorized(np.diag([1e-9, 1.0]), [1.0, 1.0]) is None
+
+
+def test_factorize_rejects_an_entry_above_1e8_in_the_image_of_a():
+    # B = I, so B^-1 and x_B are small and the condition number is 1; only the
+    # non-basic column of A, 2e8 e_1, rules the basis out
+    assert factorized([[1.0, 0.0, 2e8], [0.0, 1.0, 0.0]], [1.0, 1.0]) is None
+    assert factorized([[1.0, 0.0, 2e7], [0.0, 1.0, 0.0]], [1.0, 1.0]) is not None
 
 
 def test_factorize_well_conditioned_basis_gives_inverse_and_values():
