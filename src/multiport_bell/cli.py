@@ -41,9 +41,7 @@ class ConfigError(ValueError):
 
 
 def _phase_entry(raw: object, where: str) -> float:
-    if isinstance(raw, bool):
-        raise ConfigError(f"{where}: expected a number or expression, got {raw!r}")
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return float(raw)
     if isinstance(raw, str):
         try:
@@ -276,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.handler(args)
-    except (ConfigError, PhaseExprError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

@@ -23,7 +23,8 @@ threshold problems in this package rather than generality:
 - pivoting is deterministic (largest reduced cost, largest pivot element
   on ties), and Bland's rule is engaged after a stall to guarantee
   termination;
-- any reported optimum gets a from-scratch certificate check.
+- every reported optimum and every unbounded ray gets a from-scratch
+  check against the original rows.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class LinearProgram:
         for name, arr in (("objective", c), ("constraint_matrix", a), ("rhs", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        for name, arr in (("objective", c), ("constraint_matrix", a), ("rhs", b)):
             arr.setflags(write=False)
         self.objective, self.constraint_matrix, self.rhs = c, a, b
 
@@ -262,9 +262,10 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     space, so redundant rows never reach the basis and every phase-1
     artificial leaves it.  Each phase's verdict is re-checked once against
     a basis inverse refactorized from that data (basis condition, primal
-    and dual feasibility), and an optimum against the original rows
-    (residual, variable signs): pivot roundoff can end a solve "failed",
-    never with a silently wrong answer.
+    and dual feasibility), and an optimum or an unbounded ray from scratch
+    against the original rows (residual, variable signs, and for the ray an
+    objective that grows): pivot roundoff can end a solve "failed", never
+    with a silently wrong answer.
 
     ``starts`` are candidate starting bases, tried in order (each one
     distinct structural columns, else ValueError).  The first that has one
@@ -320,13 +321,17 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         binv, values = inverse[:, :m], inverse[:, m]
         if float(values.min(initial=0.0)) < -feasibility_tol:
             return "primal infeasible on refactorization"
-        improving = np.nonzero(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)[0]
-        if status == "unbounded":
-            rays = np.all(binv @ a[:, improving] <= PIVOT_TOL, axis=0)
-            return "unbounded" if rays.any() else "ray lost on refactorization"
-        return "dual infeasible on refactorization" if improving.size else "optimal"
+        if status == "unbounded":  # its ray is checked at the end of solve
+            return status
+        improving = np.any(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)
+        return "dual infeasible on refactorization" if improving else "optimal"
 
-    # whether ``inverse`` was factorized from ``basis`` with no pivot since
+    # whether ``inverse`` was factorized from ``basis`` with no pivot since.
+    # Phase 1 starts it False, so that its basis is refactorized even after
+    # no pivot: that is the only check that rejects reduced rows with an
+    # entry above 1e8.  Without it, LinearProgram([0, 1], [[1e9, 1]], [0]),
+    # whose only feasible point is x = 0, passes phase 1 and only the ray
+    # check stops phase 2's "unbounded"
     factorized = True
     for basis in starts:
         inverse = _factorize(data, basis) if basis.size == m else None
@@ -363,6 +368,22 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     costs = np.concatenate([c, np.zeros(m)])
     status = optimize_verified(costs, data)
     if status == "unbounded":
+        # a ray d along each improving column j, d_j = 1 and d_B = -B^-1 a_j,
+        # scaled to |d|_inf = 1 (a ray has no scale of its own) and checked
+        # from scratch against the original rows as an optimum is
+        a, binv = data[:, :n], inverse[:, :m]
+        improving = np.nonzero(c - c[basis] @ binv @ a > PIVOT_TOL)[0]
+        rays = np.zeros((n, improving.size))
+        rays[improving, np.arange(improving.size)] = 1.0
+        rays[basis] -= binv @ a[:, improving]
+        rays /= np.abs(rays).max(axis=0, initial=1.0)
+        checked = (
+            (rays.min(axis=0, initial=0.0) >= -CERTIFICATE_VARIABLE_TOL)
+            & (np.abs(a0 @ rays).max(axis=0, initial=0.0) <= CERTIFICATE_RESIDUAL_TOL)
+            & (c @ rays > 0.0)
+        )
+        if not checked.any():
+            return unsolved("failed", "phase 2 unbounded without a checked ray")
         return LPSolution("unbounded", math.inf, None, math.nan, iterations, "")
     if status != "optimal":
         return unsolved("failed", f"phase 2 {status}")

@@ -390,34 +390,30 @@ def _line_max(objective, x: np.ndarray, k: int, current: float) -> float:
     """Golden-section maximization of coordinate k over +-SCAN_STEP_START
     around x[k]; leaves x[k] at the best point and returns its value."""
     center = x[k]
+    best_t, best_value = center, current
 
     def evaluate(t: float) -> float:
+        nonlocal best_t, best_value
         x[k] = t
-        return objective(x)
+        value = objective(x)
+        if value > best_value:
+            best_t, best_value = t, value
+        return value
 
     lo, hi = center - SCAN_STEP_START, center + SCAN_STEP_START
     tol = SCAN_STEP_START / 4.0
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = evaluate(c), evaluate(d)
-    best_t, best_value = center, current
-    if fc > best_value:
-        best_t, best_value = c, fc
-    if fd > best_value:
-        best_t, best_value = d, fd
     while (hi - lo) > tol:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
             fc = evaluate(c)
-            if fc > best_value:
-                best_t, best_value = c, fc
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = evaluate(d)
-            if fd > best_value:
-                best_t, best_value = d, fd
     x[k] = best_t
     return best_value
 

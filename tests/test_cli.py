@@ -56,6 +56,15 @@ def test_threshold_text_output(capsys):
     assert "V_thr" in out and "F_thr" in out and "weights" in out
 
 
+def test_threshold_text_both_prints_two_blocks(capsys):
+    assert main(["threshold", "--builtin", "chsh-qubit", "--method", "both"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert [block.splitlines()[0] for block in blocks] == [
+        "method      correlation",
+        "method      probability",
+    ]
+
+
 def test_json_roundtrip_is_exact(capsys):
     main(["threshold", "--builtin", "chsh-qubit", "--method", "corr", "--json"])
     first = capsys.readouterr().out
@@ -131,6 +140,53 @@ def test_config_validation_messages(tmp_path, capsys):
     )
     assert main(["threshold", "--config", str(path)]) == 2
     assert "unknown" in capsys.readouterr().err
+
+
+def run_config(tmp_path, data, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["threshold", "--config", str(path), "--method", "both"])
+    out, err = capsys.readouterr()
+    return code, out, err.replace(str(path), "CONFIG")
+
+
+@pytest.mark.parametrize(
+    "numbers, strings",
+    [
+        ([[0, 1, -1], [0, 0, 2]], [["0", "1", "-1"], ["0", "0", "2"]]),
+        ([[0.0, 0.5, -2.25], [0, 0, 1.5]], [["0", "0.5", "-2.25"], ["0", "0", "1.5"]]),
+    ],
+)
+def test_number_phase_entries_equal_their_strings(tmp_path, capsys, numbers, strings):
+    by_number = run_config(tmp_path, dict(EXAMPLE_CONFIG, alice=numbers), capsys)
+    by_string = run_config(tmp_path, dict(EXAMPLE_CONFIG, alice=strings), capsys)
+    assert by_number[0] == 0
+    assert by_number == by_string
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            dict(EXAMPLE_CONFIG, alice=[[True, "0", "0"], ["0", "0", "0"]]),
+            "alice[0][0]: expected a number or expression, got True",
+        ),
+        (
+            dict(EXAMPLE_CONFIG, alice=[["0", None, "0"], ["0", "0", "0"]]),
+            "alice[0][1]: expected a number or expression, got None",
+        ),
+        (
+            dict(EXAMPLE_CONFIG, bob=[["0", "0", "0"], ["0", "0", [1]]]),
+            "bob[1][2]: expected a number or expression, got [1]",
+        ),
+        (dict(EXAMPLE_CONFIG, alice=3), "alice: expected a list of phase lists"),
+        ([EXAMPLE_CONFIG], "expected a JSON object"),
+        (dict(EXAMPLE_CONFIG, dimension="3"), "dimension must be an integer"),
+        (dict(EXAMPLE_CONFIG, dimension=True), "dimension must be an integer"),
+    ],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, data, message):
+    assert run_config(tmp_path, data, capsys) == (2, "", f"error: CONFIG: {message}\n")
 
 
 def test_verify_proof_text(capsys):

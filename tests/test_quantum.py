@@ -101,6 +101,23 @@ def test_joint_probabilities_full_noise_uniform():
     assert np.max(np.abs(table - 1 / 9)) <= 1e-15
 
 
+@pytest.mark.parametrize("dimension", range(2, 8))
+def test_joint_probabilities_follow_the_born_rule(dimension):
+    # (1 - F) |<a b| U_A (x) U_B |psi>|^2 + F/N^2 with psi = sum_m |m m>/sqrt(N)
+    rng = np.random.default_rng(20261019 + dimension)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(4, dimension))
+    cfg = ExperimentConfig(dimension, tuple(map(tuple, phases[:2])), tuple(map(tuple, phases[2:])))
+    psi = np.eye(dimension).reshape(-1) / math.sqrt(dimension)
+    for i, alice in enumerate(cfg.alice_settings):
+        for j, bob in enumerate(cfg.bob_settings):
+            amplitudes = np.kron(observable_unitary(alice), observable_unitary(bob)) @ psi
+            pure = np.abs(amplitudes.reshape(dimension, dimension)) ** 2
+            for noise in (0.0, float(rng.uniform())):
+                expected = (1.0 - noise) * pure + noise / dimension**2
+                table = joint_probabilities(cfg, i, j, noise)
+                assert np.max(np.abs(table - expected)) <= 1e-12
+
+
 def test_joint_probabilities_validation():
     cfg = builtin_config("paper-qutrit")
     for bad in (-0.1, 1.1, math.nan):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,10 +49,30 @@ def test_contradictory_equalities_infeasible():
 
 
 def test_unbounded():
-    lp = LinearProgram([1.0, 0.0], [[1.0, -1.0]], [1.0])
+    lps = [
+        LinearProgram([1.0, 0.0], [[1.0, -1.0]], [1.0]),
+        # phase 1 leaves an artificial at zero for the drive-out loop
+        LinearProgram(
+            [0.0, 2.0, 2.0, -1.0, 0.0],
+            [[2.0, -1.0, 1.0, 2.0, -2.0], [1.0, 2.0, -1.0, 2.0, 2.0], [-2.0, -2.0, 1.0, 0.0, -2.0]],
+            [-2.0, 2.0, -2.0],
+        ),
+    ]
+    for lp in lps:
+        assert scipy_value(lp)[0] == 3
+        sol = solve(lp)
+        assert sol.status == "unbounded"
+        assert sol.dual is None
+
+
+@pytest.mark.parametrize("row", [[1e9, 1.0], [1e8, 0.1]])
+def test_unbounded_needs_a_ray_that_passes_the_check(row):
+    # B^-1 a_1 = 1e-9 counts as no pivot element, but the row caps x_1 at 1 / row[1]
+    lp = LinearProgram([0.0, 1.0], [row], [1.0])
     sol = solve(lp)
-    assert sol.status == "unbounded"
-    assert sol.dual is None
+    assert sol.status != "unbounded"
+    if sol.status == "optimal":
+        assert sol.objective_value == pytest.approx(scipy_value(lp)[1], abs=1e-9)
 
 
 def test_zero_constraint_lp():
@@ -253,7 +274,16 @@ def test_rejected_first_start_falls_through_to_the_second():
     assert np.array_equal(both.dual, second.dual)
 
 
-def test_degenerate_cycling_prone_lp_terminates():
+def test_degenerate_cycling_prone_lp_terminates(monkeypatch):
+    drive_outs = []
+    pivot = simplex._pivot
+
+    def spy(*args):
+        if sys._getframe(1).f_code is simplex.solve.__code__:
+            drive_outs.append(args[3])
+        pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
     lps = [
         # Beale's classic example, rewritten in equality form with slacks
         LinearProgram(
@@ -265,12 +295,17 @@ def test_degenerate_cycling_prone_lp_terminates():
             ],
             [0.0, 0.0, 1.0],
         ),
-        # phase 1 ends with an artificial basic at zero, which the drive-out
-        # loop pivots onto a structural column; optimal at x = (1, 0)
+        # phase 1 pivots both structural columns in, one at value zero;
+        # optimal at x = (1, 0)
         LinearProgram([1.0, 1.0], [[-2.0, -2.0], [-2.0, 1.0]], [-2.0, -2.0]),
+        # phase 1 ends with an artificial basic at zero, which the drive-out
+        # loop pivots onto a structural column; optimal at x = 0
+        LinearProgram([1.0, -2.0, 0.0, 2.0], [[1.0, 1.0, -2.0, -2.0], [-1.0, -1.0, -2.0, -2.0]], [0.0, 0.0]),
     ]
-    for lp in lps:
+    for k, lp in enumerate(lps):
+        drive_outs.clear()
         sol = solve(lp)
+        assert bool(drive_outs) == (k == 2)
         assert sol.status == "optimal"
         status, reference = scipy_value(lp)
         assert status == 0
