@@ -42,7 +42,10 @@ class ConfigError(ValueError):
 
 def _phase_entry(raw: object, where: str) -> float:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ConfigError(f"{where}: number too large for a float") from None
     if isinstance(raw, str):
         try:
             return parse_phase_expr(raw)

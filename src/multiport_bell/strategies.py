@@ -5,8 +5,11 @@ setting of each party.  Its correlation matrix has entries
 gamma**(alice[i] + bob[j]) and is rank one.  Adding a constant to all of
 Alice's outcomes while subtracting it from Bob's leaves the matrix
 unchanged, so the distinct matrices are indexed by the gauge-fixed
-strategies with alice[0] == 0.  All bookkeeping is done on the integer
-exponent matrices mod N, which makes deduplication exact.
+strategies with alice[0] == 0.  alice[0] is the leading digit of the
+lexicographic order, so the gauge-fixed strategies are the first
+N**(n_alice + n_bob - 1) of ``enumerate_strategies``, in sorted order.  All
+bookkeeping is done on the integer exponent matrices mod N, which makes
+deduplication exact.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ class DeterministicStrategy:
 def enumerate_strategies(
     dimension: int, n_alice: int, n_bob: int
 ) -> list[DeterministicStrategy]:
-    """All N**(n_alice + n_bob) strategies in lexicographic order."""
+    """All N**(n_alice + n_bob) strategies in lexicographic order; the first
+    N**(n_alice + n_bob - 1) are the gauge-fixed ones (alice[0] == 0)."""
     _require_dimension(dimension)
     if n_alice < 1 or n_bob < 1:
         raise ValueError("each party needs at least one setting")

@@ -13,7 +13,7 @@ Every coincidence table depends on a + b mod N only, so shifting all of
 Alice's outcomes by c and all of Bob's by -c fixes the quantum point.
 Averaging a local mixture over these shifts keeps it a solution, so
 ``probability_threshold`` solves the same LP over the shift orbits (the
-canonical strategies), matching the distribution of alice[i] + bob[j] mod N;
+gauge-fixed strategies), matching the distribution of alice[i] + bob[j] mod N;
 ``probability_lp`` still builds the LP over every strategy and table entry.
 
 Thresholds always mix from the noiseless quantum point; pre-mixed targets
@@ -46,13 +46,12 @@ from .quantum import (
 from .simplex import LinearProgram, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
-    canonicalize,
-    distinct_matrices,
     enumerate_strategies,
     outcome_arrays,
     strategy_exponents,
     strategy_values,
 )
+from .strategies import distinct_matrices  # noqa: F401  perfbench traces it under this name
 
 SCAN_STEP_START = math.pi / 2
 SCAN_GAIN_STOP = 1e-12
@@ -112,14 +111,29 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _strategy_data(
+    dimension: int, n_alice: int, n_bob: int
+) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray]:
+    """Every strategy in lexicographic order and the column of its shift orbit
+    in ``_symmetric_data``: the gauge-fixed strategies lead the order, so the
+    orbit's gauge-fixed outcomes (alice[1:] - alice[0], bob + alice[0]) mod N
+    read as base-N digits are its column."""
+    strategies = tuple(enumerate_strategies(dimension, n_alice, n_bob))
+    alice, bob = outcome_arrays(strategies)
+    digits = np.hstack([alice[:, 1:] - alice[:, :1], bob + alice[:, :1]]) % dimension
+    orbits = digits @ dimension ** np.arange(digits.shape[1])[::-1]
+    return strategies, _frozen(orbits)
+
+
+@lru_cache(maxsize=None)
 def _correlation_data(
     dimension: int, n_alice: int, n_bob: int
 ) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
-    """Distinct strategies, their complex outcome values (one column each) and
-    the LP block of real parts stacked over imaginary parts."""
-    strategies = distinct_matrices(
-        enumerate_strategies(dimension, n_alice, n_bob), dimension
-    )
+    """The gauge-fixed strategies (alice[0] == 0, one per distinct matrix),
+    their complex outcome values (one column each) and the LP block of real
+    parts stacked over imaginary parts."""
+    everything = _strategy_data(dimension, n_alice, n_bob)[0]
+    strategies = everything[: dimension ** (n_alice + n_bob - 1)]
     values = strategy_values(strategies, dimension)  # (K, n_alice, n_bob)
     table = values.reshape(len(strategies), -1).T
     return strategies, _frozen(table), _frozen(np.vstack([table.real, table.imag]))
@@ -133,7 +147,7 @@ def _probability_data(
 
     Row ((i*n_bob + j)*N + a)*N + b is outcome pair (a, b) at settings (i, j).
     """
-    strategies = tuple(enumerate_strategies(dimension, n_alice, n_bob))
+    strategies = _strategy_data(dimension, n_alice, n_bob)[0]
     alice, bob = outcome_arrays(strategies)
     pair = np.arange(n_alice)[:, None] * n_bob + np.arange(n_bob)[None, :]
     rows = (pair * dimension + alice[:, :, None]) * dimension + bob[:, None, :]
@@ -146,7 +160,8 @@ def _probability_data(
 def _symmetric_data(
     dimension: int, n_alice: int, n_bob: int
 ) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
-    """Canonical strategies and the indicators of their exponents, one column each.
+    """The gauge-fixed strategies of ``_correlation_data``, one per shift orbit,
+    and the indicators of their exponents, one column each.
 
     Row (i*n_bob + j)*N + s is 1 where alice[i] + bob[j] = s mod N.  The N
     rows of a settings pair sum to the all-ones row, so the LP block drops
@@ -160,17 +175,6 @@ def _symmetric_data(
     indicator[rows.reshape(len(strategies), -1).T, np.arange(len(strategies))] = 1.0
     block = indicator[np.arange(len(indicator)) % dimension != dimension - 1]
     return strategies, _frozen(indicator), _frozen(block)
-
-
-@lru_cache(maxsize=None)
-def _shift_orbits(
-    dimension: int, n_alice: int, n_bob: int
-) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray]:
-    """Every strategy and the column of its shift orbit in ``_symmetric_data``."""
-    strategies = tuple(enumerate_strategies(dimension, n_alice, n_bob))
-    column = {s: k for k, s in enumerate(_symmetric_data(dimension, n_alice, n_bob)[0])}
-    orbits = np.array([column[canonicalize(s, dimension)] for s in strategies])
-    return strategies, _frozen(orbits)
 
 
 def _settings_pairs(config: ExperimentConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -296,7 +300,7 @@ def _threshold(
     target = v * point + (1.0 - v) * offset
     residual = float(np.max(np.abs(table @ weights - target)))
     if orbits:
-        strategies, members = _shift_orbits(config.dimension, config.n_alice, config.n_bob)
+        strategies, members = _strategy_data(config.dimension, config.n_alice, config.n_bob)
         weights = weights[members] / config.dimension
         residual /= config.dimension
     return ThresholdResult(
@@ -479,6 +483,8 @@ def scan(
         raise ValueError(f"scan supports dimensions 2..6, got {dimension}")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     methods = {
         "corr": (correlation_threshold, _correlation_statistics, _correlation_derivatives),
         "prob": (probability_threshold, _symmetric_statistics, _symmetric_derivatives),

@@ -183,6 +183,10 @@ def test_number_phase_entries_equal_their_strings(tmp_path, capsys, numbers, str
         ([EXAMPLE_CONFIG], "expected a JSON object"),
         (dict(EXAMPLE_CONFIG, dimension="3"), "dimension must be an integer"),
         (dict(EXAMPLE_CONFIG, dimension=True), "dimension must be an integer"),
+        (
+            dict(EXAMPLE_CONFIG, alice=[["0", 10**400, "0"], ["0", "0", "0"]]),
+            "alice[0][1]: number too large for a float",
+        ),
     ],
 )
 def test_config_type_errors_exit_2(tmp_path, capsys, data, message):
@@ -264,6 +268,11 @@ def test_scan_csv_to_unwritable_path_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}")
     assert not path.parent.exists()
+
+
+def test_scan_negative_seed_exits_2(capsys):
+    assert main(["scan", "--dimension", "3", "--restarts", "1", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -169,8 +169,9 @@ def test_symmetric_indicator_matches_loop_reference():
         assert np.array_equal(indicator, expected)
         kept = [row for row in range(len(expected)) if row % n != n - 1]
         assert np.array_equal(block, expected[kept])
-        labels, orbits = threshold._shift_orbits(dimension, n_alice, n_bob)
+        labels, orbits = threshold._strategy_data(dimension, n_alice, n_bob)
         assert labels == tuple(everything)
+        assert labels[: len(strategies)] == strategies
         assert [strategies[k] for k in orbits] == [canonicalize(s, n) for s in everything]
 
 
@@ -250,6 +251,28 @@ def test_drivers_build_each_quantum_table_once(monkeypatch):
     assert calls == {"pure_coincidences": pairs, "joint_probabilities": 0, "correlation_matrix": 0}
     correlation_threshold(cfg)
     assert calls == {"pure_coincidences": 4, "joint_probabilities": 0, "correlation_matrix": 1}
+
+
+def test_drivers_enumerate_each_strategy_shape_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_strategies(*args)
+
+    monkeypatch.setattr(threshold, "enumerate_strategies", counted)
+    for builder in (
+        threshold._strategy_data,
+        threshold._correlation_data,
+        threshold._probability_data,
+        threshold._symmetric_data,
+    ):
+        builder.cache_clear()
+    cfg = random_config(np.random.default_rng(20261022), 4)
+    correlation_threshold(cfg)
+    probability_threshold(cfg)
+    probability_lp(cfg)
+    assert calls == [(4, 2, 2)]
 
 
 def test_visibility_pinned_above_threshold_is_infeasible():
@@ -612,6 +635,8 @@ def test_scan_validation():
         scan(3, 0, 0)
     with pytest.raises(ValueError):
         scan(3, 1, 0, method="nope")
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        scan(3, 1, -1)
 
 
 def test_probability_scan_has_no_failed_restart():
