@@ -3,20 +3,23 @@
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
 threshold problems in this package rather than generality:
 
-- the rows are first reduced to an orthonormal basis of A's row space.
-  Only some threshold LPs need it: the full probability LPs are
-  rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83 of rank 26, 66 x 258
-  of rank 50, 102 x 627 of rank 82 at N=5), and so is the N=2 correlation
-  LP (10 x 10 of rank 6), while the driver LPs at N >= 3 have full row
-  rank.  The reduction takes the left singular vectors from an SVD of A,
-  or, for A with at least 16 rows and more columns than rows, from an SVD
-  of the m x m triangle of a QR of A^T;
-- the first feasible one of the starting bases named by the caller skips
-  phase 1.  Otherwise phase 1 runs on the reduced rows reflected by the
-  Householder matrix H with H b = |b| e_1, so that it starts with one
-  artificial above zero instead of all m (about a third fewer pivots at
-  102 x 627), and phase 2 starts from its basis factorized on the
-  unreflected rows;
+- the first of the starting bases named by the caller that is primal
+  feasible skips phase 1, and so does one that is only dual feasible, after
+  at most m dual simplex pivots.  A start is tried on the original rows
+  first: one that factorizes proves them independent;
+- only when no start is accepted are the rows reduced to an orthonormal
+  basis of A's row space.  Only some threshold LPs need it: the full
+  probability LPs are rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83
+  of rank 26, 66 x 258 of rank 50, 102 x 627 of rank 82 at N=5), and so is
+  the N=2 correlation LP (10 x 10 of rank 6), while the driver LPs at N >= 3
+  have full row rank.  The reduction takes the left singular vectors from
+  an SVD of A, or, for A with at least 16 rows and more columns than rows,
+  from an SVD of the m x m triangle of a QR of A^T.  A rank-deficient LP
+  tries its starts again on the reduced rows.  Otherwise phase 1 runs on
+  the reduced rows reflected by the Householder matrix H with H b = |b| e_1,
+  so that it starts with one artificial above zero instead of all m (about
+  a third fewer pivots at 102 x 627), and phase 2 starts from its basis
+  factorized on the unreflected rows, the original ones at full row rank;
 - each pivot updates only the m x m basis inverse and the basic values
   (prices and reduced costs are recomputed from them), and a
   refactorization solves the basis against [I | b] only;
@@ -207,6 +210,58 @@ def _optimize(
                 bland = True
 
 
+def _dual_optimize(
+    a: np.ndarray, c: np.ndarray, inverse: np.ndarray, basis: np.ndarray
+) -> int | None:
+    """Dual simplex iterations on [B^-1 | x_B] of a basis of structural
+    columns until no basic value is below -CERTIFICATE_VARIABLE_TOL; returns
+    the pivots made, or None when the basis is primal infeasible and not dual
+    feasible (a reduced cost above PIVOT_TOL), when no column can enter or
+    when m pivots do not suffice.
+
+    The most negative basic value leaves, on row r, and of the columns with
+    alpha_rj = (B^-1 a_j)_r below -PIVOT_TOL the one with the smallest
+    |d_j / alpha_rj| enters (ties: the largest |alpha_rj|), which keeps every
+    reduced cost d_j at most zero.
+    """
+    m, n = a.shape
+    binv, values = inverse[:, :m], inverse[:, m]
+    pivots = 0
+    while values.min(initial=0.0) < -CERTIFICATE_VARIABLE_TOL:
+        reduced = c - c[basis] @ binv @ a
+        row = int(values.argmin())
+        alpha = binv[row] @ a
+        eligible = alpha < -PIVOT_TOL
+        if (pivots == 0 and reduced.max() > PIVOT_TOL) or pivots == m or not eligible.any():
+            return None
+        ratios = np.full(n, np.inf)
+        np.divide(np.abs(reduced), -alpha, out=ratios, where=eligible)
+        least = ratios.min()
+        ties = np.nonzero(ratios <= least + 1e-12 * max(1.0, least))[0]
+        col = int(ties[alpha[ties].argmin()])
+        _pivot(inverse, basis, binv @ a[:, col], row, col)
+        pivots += 1
+    return pivots
+
+
+def _accepted_start(
+    data: np.ndarray, starts: list[np.ndarray], c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """[B^-1 | x_B], the basis and the dual simplex pivots of the first of
+    ``starts`` that has one column per row of ``data`` = [A | I | b], passes
+    ``_factorize`` and is primal feasible as it is or after ``_dual_optimize``;
+    None if no start is."""
+    m = data.shape[0]
+    for start in starts:
+        inverse = _factorize(data, start) if start.size == m else None
+        if inverse is not None:
+            basis = start.copy()
+            pivots = _dual_optimize(data[:, : c.size], c, inverse, basis)
+            if pivots is not None:
+                return inverse, basis, pivots
+    return None
+
+
 def _row_space(
     a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -258,28 +313,33 @@ def _reflected(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolution:
     """Two-phase simplex on the independent rows; exact status reporting.
 
-    The equalities are first replaced by an orthonormal basis of their row
-    space, so redundant rows never reach the basis and every phase-1
-    artificial leaves it.  Each phase's verdict is re-checked once against
-    a basis inverse refactorized from that data (basis condition, primal
-    and dual feasibility), and an optimum or an unbounded ray from scratch
-    against the original rows (residual, variable signs, and for the ray an
+    Each phase's verdict is re-checked once against a basis inverse
+    refactorized from its data (basis condition, primal and dual
+    feasibility), and an optimum or an unbounded ray from scratch against
+    the original rows (residual, variable signs, and for the ray an
     objective that grows): pivot roundoff can end a solve "failed", never
     with a silently wrong answer.
 
     ``starts`` are candidate starting bases, tried in order (each one
-    distinct structural columns, else ValueError).  The first that has one
-    column per independent row, passes the strict refactorization and leaves
-    no basic value below -CERTIFICATE_VARIABLE_TOL replaces phase 1, so its
-    values already pass the final sign check; a rejected candidate leaves the
-    solve as it was, and if none is accepted phase 1 runs, on the rows
-    reflected by ``_reflected``.  Phase 2 starts from a basis factorized on
-    the unreflected rows either way, so the answer depends on the final
-    basis only, not on the path to it.  An optimal
-    solution carries its ``basis``, a start for LPs with the same A, b, and
-    its ``dual`` y over the original rows (b.y is the optimum and
-    c - A^T y <= 0): the reduced rows' prices c_B B^-1 from the verified
-    final basis inverse, mapped back by U.
+    distinct structural columns, else ValueError), first on the original
+    rows.  A candidate is accepted if it has one column per row, passes the
+    strict refactorization and either leaves no basic value below
+    -CERTIFICATE_VARIABLE_TOL or, having no reduced cost above PIVOT_TOL,
+    reaches such values within m dual simplex pivots (``_dual_optimize``),
+    whose basis phase 2 refactorizes.  An accepted start replaces phase 1
+    and proves the rows independent, so they are not reduced.  A rejected
+    candidate leaves the solve as it was.  If none is accepted, the
+    equalities are replaced by an orthonormal basis of their row space, so
+    redundant rows never reach the basis and every phase-1 artificial leaves
+    it; a rank-deficient LP tries its starts again on those rows, and
+    otherwise phase 1 runs on them, reflected by ``_reflected``.  Phase 2
+    starts from a basis factorized on the unreflected rows, the original
+    ones at full row rank, so a solve from a start and a solve without
+    starts that ends in that basis agree bit for bit.  An optimal solution
+    carries its ``basis``, a start for LPs with the same A, b, and its
+    ``dual`` y over the original rows (b.y is the optimum and c - A^T y <=
+    0): the prices c_B B^-1 from the verified final basis inverse, mapped
+    back by U when phase 2 ran on reduced rows.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
@@ -294,12 +354,22 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, iterations, detail)
 
-    reduced = _row_space(a0, b0)
-    if reduced is None:
-        return unsolved("infeasible", "rhs outside the column space of A")
-    u, a, b = reduced
-    m = b.size
-    data = np.column_stack([a, np.eye(m), b])
+    # [A | I | b] on the original rows; the reduced rows replace them only
+    # when no start is accepted here
+    data = np.column_stack([a0, np.eye(b0.size), b0])
+    u = None  # U of the reduced rows, when phase 2 runs on them
+    accepted = _accepted_start(data, starts, c)
+    if accepted is None:
+        reduced = _row_space(a0, b0)
+        if reduced is None:
+            return unsolved("infeasible", "rhs outside the column space of A")
+        u, a, b = reduced
+        if b.size == b0.size:
+            u = None  # full row rank: phase 2 stays on the original rows
+        else:
+            data = np.column_stack([a, np.eye(b.size), b])
+            accepted = _accepted_start(data, starts, c)
+    m = data.shape[0]
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
     def optimize_verified(costs: np.ndarray, data: np.ndarray) -> str:
@@ -327,16 +397,15 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         return "dual infeasible on refactorization" if improving else "optimal"
 
     # whether ``inverse`` was factorized from ``basis`` with no pivot since.
-    # Phase 1 starts it False, so that its basis is refactorized even after
-    # no pivot: that is the only check that rejects reduced rows with an
-    # entry above 1e8.  Without it, LinearProgram([0, 1], [[1e9, 1]], [0]),
-    # whose only feasible point is x = 0, passes phase 1 and only the ray
-    # check stops phase 2's "unbounded"
-    factorized = True
-    for basis in starts:
-        inverse = _factorize(data, basis) if basis.size == m else None
-        if inverse is not None and inverse[:, m].min(initial=0.0) >= -CERTIFICATE_VARIABLE_TOL:
-            break
+    # Dual simplex pivots and phase 1 start it False, so that their basis is
+    # refactorized even after no primal pivot; for phase 1 that is the only
+    # check that rejects reduced rows with an entry above 1e8.  Without it,
+    # LinearProgram([0, 1], [[1e9, 1]], [0]), whose only feasible point is
+    # x = 0, passes phase 1 and only the ray check stops phase 2's "unbounded"
+    if accepted is not None:
+        inverse, basis, pivots = accepted
+        iterations += pivots
+        factorized = pivots == 0
     else:
         # phase 1 runs on the rows reflected so that b = |b| e_1: it starts
         # with a single artificial above zero
@@ -360,7 +429,8 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
                 return unsolved("failed", f"no pivot for the artificial on row {row}")
             _pivot(inverse, basis, binv @ reflected[:, col], row, col)
             iterations += 1
-        # phase 2 starts from the same basis factorized on the unreflected rows
+        # phase 2 starts from the same basis factorized on the unreflected
+        # rows: the original ones when A has full row rank
         inverse = _factorize(data, basis)
         if inverse is None:
             return unsolved("failed", "phase 1 ill-conditioned basis on refactorization")
@@ -396,7 +466,9 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         return unsolved("failed", "negative variable")
     if residual > CERTIFICATE_RESIDUAL_TOL:
         return unsolved("failed", f"residual {residual:.3e}")
-    dual = u @ (costs[basis] @ inverse[:, :m])
+    dual = costs[basis] @ inverse[:, :m]
+    if u is not None:
+        dual = u @ dual
     return LPSolution(
         "optimal", float(c @ x), x, residual, iterations, "", tuple(basis.tolist()), dual
     )

@@ -23,8 +23,9 @@ the optimum of the drivers' LP without the cap on V, which keeps changing
 where the capped V_thr sits at 1: one golden-section sweep over every phase
 on V* alone, then BFGS on the gradient the LP's optimal dual gives in
 closed form.  Consecutive LPs of a restart differ in the V column only, so
-each one is solved from the restart's last optimal basis while that stays
-feasible, else from the V=0 basis the drivers start from.
+each one is solved from the restart's last optimal basis, through a few dual
+simplex pivots where the new column leaves it dual but not primal feasible,
+else from the V=0 basis the drivers start from.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def _uncapped_visibility(
     config: ExperimentConfig, statistics, previous: tuple[int, ...] | None
 ) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
     """V*, the optimal dual prices of the LP block rows and the optimal basis,
-    solved from the basis ``previous`` if it is still feasible; V* = inf with
+    solved from the basis ``previous`` if ``solve`` accepts it; V* = inf with
     zero prices and no basis where the LP is unbounded (every table uniform)."""
     (strategies, _, block, *_), solution = _solve_threshold_lp(
         config, statistics, cap=False, previous=previous
@@ -392,7 +393,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _line_max(objective, x: np.ndarray, k: int, current: float) -> float:
     """Golden-section maximization of coordinate k over +-SCAN_STEP_START
-    around x[k]; leaves x[k] at the best point and returns its value."""
+    around x[k]; leaves x[k] at the best point and returns its value.
+
+    A probe replaces the best point, and moves the bracket its way, only by a
+    gain above SCAN_GAIN_STOP, so that probes whose values differ by roundoff
+    alone never decide the step."""
     center = x[k]
     best_t, best_value = center, current
 
@@ -400,7 +405,7 @@ def _line_max(objective, x: np.ndarray, k: int, current: float) -> float:
         nonlocal best_t, best_value
         x[k] = t
         value = objective(x)
-        if value > best_value:
+        if value > best_value + SCAN_GAIN_STOP:
             best_t, best_value = t, value
         return value
 
@@ -410,7 +415,7 @@ def _line_max(objective, x: np.ndarray, k: int, current: float) -> float:
     d = lo + _INVPHI * (hi - lo)
     fc, fd = evaluate(c), evaluate(d)
     while (hi - lo) > tol:
-        if fc >= fd:
+        if fc >= fd - SCAN_GAIN_STOP:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
             fc = evaluate(c)

@@ -411,3 +411,123 @@ def test_ten_row_lps_never_factorize_by_qr(monkeypatch):
     assert threshold.correlation_threshold(cfg).v_thr == pytest.approx(v_qutrit, abs=1e-12)
     assert threshold.probability_threshold(cfg).v_thr == pytest.approx(v_qutrit, abs=1e-12)
     assert threshold.scan(3, 1, 0, "prob").best_f_thr == pytest.approx(1 - v_qutrit, abs=1e-9)
+
+
+def count_row_spaces(monkeypatch) -> list[int]:
+    """A one-element list counting the calls of simplex._row_space."""
+    calls = [0]
+    row_space = simplex._row_space
+
+    def counted(*args):
+        calls[0] += 1
+        return row_space(*args)
+
+    monkeypatch.setattr(simplex, "_row_space", counted)
+    return calls
+
+
+def uncapped_lp_and_zero_basis(cfg):
+    """The uncapped symmetric probability LP of an N=3 config, as the scan
+    solves it, and the cached V=0 basis its solves start from."""
+    statistics = threshold._symmetric_statistics
+    _, _, block, _, matched, offset = statistics(cfg)
+    threshold._solve_threshold_lp(cfg, statistics, cap=False)
+    zero = threshold._START_BASES[(statistics, False, 3, 2, 2)]
+    return threshold._visibility_lp(block, matched, offset, cap=False), zero
+
+
+def test_accepted_start_skips_the_row_reduction(monkeypatch):
+    lp, zero = uncapped_lp_and_zero_basis(builtin_config("paper-qutrit"))
+    calls = count_row_spaces(monkeypatch)
+    warm = solve(lp, starts=[zero])
+    assert calls == [0]
+    cold = solve(lp)
+    assert calls == [1]
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective_value == pytest.approx((6 * math.sqrt(3) - 9) / 2, abs=1e-12)
+    assert cold.objective_value == pytest.approx(warm.objective_value, abs=1e-12)
+    # a start accepted on the original rows takes its dual without U
+    assert_dual_certifies(lp, warm)
+
+
+def test_dual_simplex_resolves_a_nudged_lp_from_the_previous_basis():
+    # the scan's case: only the V column moves, and the previous optimal basis
+    # is then dual feasible but primal infeasible
+    cfg = builtin_config("paper-qutrit")
+    lp, zero = uncapped_lp_and_zero_basis(cfg)
+    previous = solve(lp, starts=[zero])
+    moved = ((0.0, 0.1, 0.0), cfg.alice_settings[1])
+    nudged_lp, _ = uncapped_lp_and_zero_basis(ExperimentConfig(3, moved, cfg.bob_settings))
+    data = np.column_stack([nudged_lp.constraint_matrix, np.eye(nudged_lp.n_rows), nudged_lp.rhs])
+    inverse = simplex._factorize(data, np.array(previous.basis))
+    assert inverse[:, -1].min() < -simplex.CERTIFICATE_VARIABLE_TOL
+    warm = solve(nudged_lp, starts=[previous.basis, zero])
+    from_zero = solve(nudged_lp, starts=[zero])
+    cold = solve(nudged_lp)
+    assert warm.status == from_zero.status == cold.status == "optimal"
+    assert warm.iterations < from_zero.iterations
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+    assert_dual_certifies(nudged_lp, warm)
+    assert check_certificate(nudged_lp, warm).passed
+
+
+@pytest.mark.parametrize(
+    "lp, start",
+    [
+        # dual feasible with x_3 < 0, but its dual simplex takes 3 pivots, one
+        # more than the cap of m = 2
+        pytest.param(
+            LinearProgram(
+                [-1.0, -1.0, -1.0, -3.0, -2.0],
+                [[-3.0, 1.0, -2.0, 0.0, -1.0], [1.0, -3.0, -1.0, 1.0, 2.0]],
+                [-1.0, -3.0],
+            ),
+            [3, 4],
+            id="cap",
+        ),
+        # dual feasible with x_0 = -1, but no entry of its row is negative:
+        # the LP is infeasible
+        pytest.param(LinearProgram([-1.0, -1.0], [[1.0, 1.0]], [-1.0]), [0], id="no-entering"),
+    ],
+)
+def test_dual_simplex_that_cannot_finish_falls_back(monkeypatch, lp, start):
+    verdicts = []
+    dual_optimize = simplex._dual_optimize
+
+    def spy(*args):
+        verdicts.append(dual_optimize(*args))
+        return verdicts[-1]
+
+    cold = solve(lp)
+    monkeypatch.setattr(simplex, "_dual_optimize", spy)
+    warm = solve(lp, starts=[start])
+    assert verdicts == [None]
+    assert (warm.status, warm.detail, warm.iterations) == (cold.status, cold.detail, cold.iterations)
+    assert warm.basis == cold.basis
+    if cold.status == "optimal":
+        assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.dual, cold.dual)
+        assert warm.objective_value == pytest.approx(scipy_value(lp)[1], abs=1e-12)
+    else:
+        assert cold.status == "infeasible" and scipy_value(lp)[0] == 2
+
+
+def test_rank_deficient_lp_tries_its_start_on_the_reduced_rows(monkeypatch):
+    # the capped N=2 correlation LP is 10 x 10 of rank 6, so its V=0 basis has
+    # 6 columns: it is tried on the reduced rows only, and one pivot from it
+    # reaches V = 1/sqrt(2)
+    cfg = builtin_config("chsh-qubit")
+    statistics = threshold._correlation_statistics
+    _, _, block, _, matched, offset = statistics(cfg)
+    lp = threshold._visibility_lp(block, matched, offset)
+    threshold._solve_threshold_lp(cfg, statistics, cap=True)
+    zero = threshold._START_BASES[(statistics, True, 2, 2, 2)]
+    calls = count_row_spaces(monkeypatch)
+    sol = solve(lp, starts=[zero])
+    assert calls == [1]
+    assert sol.status == "optimal" and sol.iterations == 1
+    assert sol.basis == (9, 6, 1, 0, 4, 8)
+    r = 1 / math.sqrt(2)
+    x = [0.25, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25, 0.0, r, 1 - r]
+    dual = [-r / 2, -r / 2, -r / 2, r / 2, 0.0, 0.0, 0.0, 0.0, r, 0.0]
+    assert np.abs(sol.x - x).max() <= 1e-12
+    assert np.abs(sol.dual - dual).max() <= 1e-12

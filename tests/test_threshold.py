@@ -547,7 +547,7 @@ def test_scan_probes_build_no_derivatives(monkeypatch):
 
 def test_scan_solves_often_start_optimal(monkeypatch):
     # each uncapped LP tries its restart's previous optimal basis first, which
-    # is often still optimal: 45 of 81 solves take no pivot (0 of 81 from the
+    # is often still optimal: 47 of 81 solves take no pivot (0 of 81 from the
     # V=0 basis alone)
     pivots = []
     original = threshold.solve
@@ -722,6 +722,24 @@ def test_scan_restarts_ignore_roundoff_in_visibility(monkeypatch, pool_histories
             reference = pool_histories[seed]
             assert [index for index, _ in history] == [index for index, _ in reference]
             assert max(abs(f - g) for (_, f), (_, g) in zip(history, reference)) <= 1e-9
+
+
+def test_line_search_ignores_roundoff_at_every_nudge_phase(monkeypatch):
+    # seed 6 restart 0 meets a flat coordinate on which several probes read
+    # the same V*, so a 1e-15 nudge decides which probe is "best" unless a
+    # probe must gain more than SCAN_GAIN_STOP; try every phase of the cycle
+    reference = scan(3, 1, 6, "prob").history[0][1]
+    uncapped = threshold._uncapped_visibility
+    for pattern in ((1e-15, -1e-15), (-1e-15, -1e-15, 1e-15)):
+        for offset in range(len(pattern)):
+            shifts = itertools.cycle(pattern[offset:] + pattern[:offset])
+
+            def nudged_visibility(config, statistics, previous, _shifts=shifts):
+                v, prices, basis = uncapped(config, statistics, previous)
+                return v + next(_shifts), prices, basis
+
+            monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
+            assert scan(3, 1, 6, "prob").history[0][1] == pytest.approx(reference, abs=1e-9)
 
 
 def test_scan_qubit_recovers_chsh_threshold():
