@@ -40,12 +40,12 @@ def _require_noise(noise: float) -> None:
 
 
 def _coerce_setting(setting: Sequence[float], dimension: int, label: str) -> PhaseVector:
-    phases = tuple(float(p) for p in setting)
+    phases = tuple(map(float, setting))
     if len(phases) != dimension:
         raise ValueError(
             f"{label}: expected {dimension} phases, got {len(phases)}"
         )
-    if not all(math.isfinite(p) for p in phases):
+    if not all(map(math.isfinite, phases)):
         raise ValueError(f"{label}: phases must be finite, got {phases}")
     return phases
 
@@ -97,17 +97,11 @@ def observable_unitary(setting: Sequence[float]) -> np.ndarray:
     return fourier_matrix(len(phases)) * np.exp(1j * np.asarray(phases))[None, :]
 
 
-def _setting_pair(
-    config: ExperimentConfig, alice_index: int, bob_index: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _check_indices(config: ExperimentConfig, alice_index: int, bob_index: int) -> None:
     if not 0 <= alice_index < config.n_alice:
         raise IndexError(f"alice setting index {alice_index} out of range")
     if not 0 <= bob_index < config.n_bob:
         raise IndexError(f"bob setting index {bob_index} out of range")
-    return (
-        np.asarray(config.alice_settings[alice_index]),
-        np.asarray(config.bob_settings[bob_index]),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -119,35 +113,40 @@ def _fourier_phases(dimension: int) -> np.ndarray:
     return phases
 
 
-def _port_terms(
-    config: ExperimentConfig, alice_index: int, bob_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier phases gamma**(s*m), indexed (s, m), and exp(i*(phi_m + theta_m))."""
-    phi, theta = _setting_pair(config, alice_index, bob_index)
-    return _fourier_phases(config.dimension), np.exp(1j * (phi + theta))
+def _pair_terms(config: ExperimentConfig) -> np.ndarray:
+    """exp(i*(phi_m + theta_m)) of every settings pair, row i*n_bob + j."""
+    alice = np.array(config.alice_settings)
+    bob = np.array(config.bob_settings)
+    return np.exp(1j * (alice[:, None, :] + bob[None, :, :]).reshape(-1, config.dimension))
+
+
+def pair_coincidences(config: ExperimentConfig) -> np.ndarray:
+    """Noiseless coincidence probability by outcome sum for every settings pair.
+
+    Entry (i*n_bob + j, s) is P(a, b) at settings (i, j) for every
+    a + b = s mod N (the Born rule)
+    |sum_m gamma**(m*s) * exp(i*(phi_m + theta_m))|**2 / N**3.
+    """
+    local = _pair_terms(config)
+    amplitudes = _fourier_phases(config.dimension)[None] @ local[:, :, None]
+    return np.abs(amplitudes[:, :, 0]) ** 2 / config.dimension**3
 
 
 def pure_coincidences(
     config: ExperimentConfig, alice_index: int, bob_index: int
 ) -> np.ndarray:
-    """Noiseless coincidence probability by outcome sum for one settings pair.
-
-    Entry s is P(a, b) for every a + b = s mod N (the Born rule)
-    |sum_m gamma**(m*s) * exp(i*(phi_m + theta_m))|**2 / N**3.
-    """
-    fourier, local = _port_terms(config, alice_index, bob_index)
-    return np.abs(fourier @ local) ** 2 / config.dimension**3
+    """Row (alice_index, bob_index) of ``pair_coincidences``."""
+    _check_indices(config, alice_index, bob_index)
+    return pair_coincidences(config)[alice_index * config.n_bob + bob_index]
 
 
-def pure_coincidence_derivatives(
-    config: ExperimentConfig, alice_index: int, bob_index: int
-) -> np.ndarray:
-    """Entry (s, m) is the derivative of ``pure_coincidences`` entry s by port
-    m's phase of either setting; only phi_m + theta_m enters."""
-    fourier, local = _port_terms(config, alice_index, bob_index)
-    terms = fourier * local
-    amplitudes = terms.sum(axis=1)
-    return -2.0 * np.imag(amplitudes.conj()[:, None] * terms) / config.dimension**3
+def pure_coincidence_derivatives(config: ExperimentConfig) -> np.ndarray:
+    """Entry (p, s, m) is the derivative of ``pair_coincidences`` entry
+    (p, s) by port m's phase of either setting of pair p; only
+    phi_m + theta_m enters."""
+    terms = _fourier_phases(config.dimension)[None] * _pair_terms(config)[:, None, :]
+    amplitudes = terms.sum(axis=2)
+    return -2.0 * np.imag(amplitudes.conj()[:, :, None] * terms) / config.dimension**3
 
 
 def joint_probabilities(
@@ -171,7 +170,9 @@ def _cyclic_terms(
     config: ExperimentConfig, alice_index: int, bob_index: int
 ) -> np.ndarray:
     """exp(i*delta_m), delta_m = phi_m - phi_{m+1} + theta_m - theta_{m+1} mod N."""
-    phi, theta = _setting_pair(config, alice_index, bob_index)
+    _check_indices(config, alice_index, bob_index)
+    phi = np.asarray(config.alice_settings[alice_index])
+    theta = np.asarray(config.bob_settings[bob_index])
     following = (np.arange(config.dimension) + 1) % config.dimension
     delta = (phi - phi[following]) + (theta - theta[following])
     return np.exp(1j * delta)

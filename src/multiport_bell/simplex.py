@@ -24,8 +24,10 @@ threshold problems in this package rather than generality:
   (prices and reduced costs are recomputed from them), and a
   refactorization solves the basis against [I | b] only;
 - pivoting is deterministic (largest reduced cost, largest pivot element
-  on ties), and Bland's rule is engaged after a stall to guarantee
-  termination;
+  on ties), and Bland's rule is engaged after 5(m + n) pivots without a
+  gain, which guarantees termination in exact arithmetic; roundoff can still
+  make it cycle on badly scaled LPs, so a solve that stalls as long again
+  under Bland's rule ends "failed";
 - every reported optimum and every unbounded ray gets a from-scratch
   check against the original rows.
 """
@@ -137,7 +139,8 @@ def _factorize(data: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     for block in (inverse, inverse[:, :m] @ data[:, : -m - 1]):
-        if not np.isfinite(block).all() or np.abs(block).max(initial=0.0) > 1e8:
+        # also false for a NaN or an infinity
+        if not np.abs(block).max(initial=0.0) <= 1e8:
             return None
     # the infinity-norm condition number, without extra factorizations
     cond = float(
@@ -150,8 +153,9 @@ def _factorize(data: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
 def _optimize(
     a: np.ndarray, costs: np.ndarray, inverse: np.ndarray, basis: np.ndarray, budget: int
 ) -> tuple[str, int]:
-    """Run simplex iterations until optimality, unboundedness, or ``budget``
-    pivots ("cap"); returns the verdict and the pivots made.
+    """Run simplex iterations until optimality, unboundedness, ``budget``
+    pivots ("cap") or another ``stall_limit`` pivots without a gain once
+    Bland's rule engaged ("stalled"); returns the verdict and the pivots made.
 
     ``inverse`` is [B^-1 | x_B]: the basis inverse and the basic values.
     Only the structural columns of ``a`` may enter; ``costs`` also prices the
@@ -206,6 +210,8 @@ def _optimize(
             stalled = 0
         else:
             stalled += 1
+            if stalled > 2 * stall_limit:
+                return "stalled", pivots
             if stalled > stall_limit:
                 bland = True
 
@@ -346,10 +352,11 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     b0 = lp.rhs
     n = c.size
     iterations = 0
-    starts = [np.array([operator.index(j) for j in start], dtype=int) for start in starts]
+    starts = [[operator.index(j) for j in start] for start in starts]
     for start in starts:
-        if np.unique(start).size != start.size or not np.all((start >= 0) & (start < n)):
+        if len(set(start)) != len(start) or not all(0 <= j < n for j in start):
             raise ValueError(f"a start must name distinct columns in 0..{n - 1}")
+    starts = [np.array(start, dtype=int) for start in starts]
 
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, iterations, detail)
@@ -381,9 +388,12 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         iterations += pivots
         if status == "cap":
             return f"iteration cap {ITERATION_CAP} hit"
+        if status == "stalled":
+            return "stalled under Bland's rule"
         # without a pivot since the last factorization, a second one would
         # rebuild the same inverse from the same basis
-        if pivots or not factorized:
+        unchanged = not pivots and factorized
+        if not unchanged:
             inverse = _factorize(data, basis)
             if inverse is None:
                 return "ill-conditioned basis on refactorization"
@@ -391,7 +401,9 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         binv, values = inverse[:, :m], inverse[:, m]
         if float(values.min(initial=0.0)) < -feasibility_tol:
             return "primal infeasible on refactorization"
-        if status == "unbounded":  # its ray is checked at the end of solve
+        # an unbounded ray is checked at the end of solve; on an unchanged
+        # inverse _optimize has just priced every column as below
+        if status == "unbounded" or unchanged:
             return status
         improving = np.any(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)
         return "dual infeasible on refactorization" if improving else "optimal"

@@ -26,6 +26,11 @@ closed form.  Consecutive LPs of a restart differ in the V column only, so
 each one is solved from the restart's last optimal basis, through a few dual
 simplex pivots where the new column leaves it dual but not primal feasible,
 else from the V=0 basis the drivers start from.
+
+Only the V column depends on the phases at all, so every threshold LP is a
+copy of one template LP per shape (statistics, cap, N, n_alice, n_bob) with
+its own V column written in, and the quantum point it matches is built for
+every settings pair at once (``quantum.pair_coincidences``).
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .quantum import (
     correlation_derivatives,
     correlation_matrix,
     joint_probabilities,
+    pair_coincidences,
     pure_coincidence_derivatives,
-    pure_coincidences,
 )
 from .simplex import LinearProgram, SolverFailure, solve
 from .strategies import (
@@ -178,15 +183,16 @@ def _symmetric_data(
     return strategies, _frozen(indicator), _frozen(block)
 
 
-def _settings_pairs(config: ExperimentConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
+@lru_cache(maxsize=None)
+def _settings_pairs(n_alice: int, n_bob: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """The settings pairs (i, j) in row order, and the two settings each one
     uses, as a 0/1 (pairs, n_alice + n_bob) array: a pair's statistics depend
     on phi_m + theta_m only, so on either setting's port m alike."""
-    pairs = [(i, j) for i in range(config.n_alice) for j in range(config.n_bob)]
-    uses = np.zeros((len(pairs), config.n_alice + config.n_bob))
+    pairs = tuple((i, j) for i in range(n_alice) for j in range(n_bob))
+    uses = np.zeros((len(pairs), n_alice + n_bob))
     for p, (i, j) in enumerate(pairs):
-        uses[p, i] = uses[p, config.n_alice + j] = 1.0
-    return pairs, uses
+        uses[p, i] = uses[p, n_alice + j] = 1.0
+    return pairs, _frozen(uses)
 
 
 # Each statistics(config) gives the strategies, their table (one column per
@@ -207,9 +213,8 @@ def _symmetric_statistics(config: ExperimentConfig):
     N*P0(0, s) = N*P0(a, b) for every a + b = s mod N, offset 1/N."""
     data = _symmetric_data(config.dimension, config.n_alice, config.n_bob)
     n = config.dimension
-    pairs = _settings_pairs(config)[0]
-    point = n * np.concatenate([pure_coincidences(config, i, j) for i, j in pairs])
-    return (*data, point, point[np.arange(point.size) % n != n - 1], 1.0 / n)
+    point = n * pair_coincidences(config)
+    return (*data, point.reshape(-1), point[:, :-1].reshape(-1), 1.0 / n)
 
 
 def _visibility_lp(
@@ -246,6 +251,7 @@ def _visibility_lp(
     return LinearProgram(c, a, b)
 
 
+_LP_TEMPLATES: dict[tuple, LinearProgram] = {}
 _START_BASES: dict[tuple, tuple[int, ...]] = {}
 
 
@@ -254,19 +260,25 @@ def _solve_threshold_lp(
 ):
     """The statistics of config and the solution of their threshold LP.
 
-    The solve tries the basis ``previous`` first, if given, then a feasible
-    V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
-    (V) depends on the phases, so the LP without it, and its basis of
-    strategy columns (and the cap slack, if the LP has the cap row), are the
-    same for every config of the shape, whichever comes first.  Only an
-    optimal V=0 solve is kept; after any other the next call tries again.
-    Raises SolverFailure unless the LP ends optimal, or unbounded without
-    the cap.
+    Only column k (V) of the LP depends on the phases, so the LP is built
+    once per (statistics, cap, N, n_alice, n_bob) and each call writes its
+    own column k into a copy.  The solve tries the basis ``previous`` first,
+    if given, then a feasible V=0 basis kept per the same key: the LP
+    without column k, and its basis of strategy columns (and the cap slack,
+    if the LP has the cap row), are the same for every config of the shape,
+    whichever comes first.  Only an optimal V=0 solve is kept; after any
+    other the next call tries again.  Raises SolverFailure unless the LP
+    ends optimal, or unbounded without the cap.
     """
     stats = strategies, _, block, _, matched, offset = statistics(config)
-    lp = _visibility_lp(block, matched, offset, cap=cap)
     k = len(strategies)
     key = (statistics, cap, config.dimension, config.n_alice, config.n_bob)
+    template = _LP_TEMPLATES.get(key)
+    if template is None:
+        template = _LP_TEMPLATES[key] = _visibility_lp(block, matched, offset, cap=cap)
+    a = template.constraint_matrix.copy()
+    a[: len(block), k] = -(matched - offset)
+    lp = LinearProgram(template.objective, a, template.rhs)
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
         fixed = solve(LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs))
@@ -331,7 +343,7 @@ def probability_lp(
     uniform table)."""
     n = config.dimension
     strategies, indicator = _probability_data(n, config.n_alice, config.n_bob)
-    pairs = _settings_pairs(config)[0]
+    pairs = _settings_pairs(config.n_alice, config.n_bob)[0]
     pure = np.concatenate([joint_probabilities(config, i, j).reshape(-1) for i, j in pairs])
     lp = _visibility_lp(indicator, pure, 1.0 / n**2, pin_visibility=pin_visibility)
     return lp, strategies
@@ -359,7 +371,7 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 
 def _correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
     """Correlation matching: real parts over imaginary parts of the values."""
-    pairs, uses = _settings_pairs(config)
+    pairs, uses = _settings_pairs(config.n_alice, config.n_bob)
     by_port = np.array([correlation_derivatives(config, i, j) for i, j in pairs])
     by_phase = by_port[:, None, :] * uses[:, :, None]
     return np.concatenate([by_phase.real, by_phase.imag])
@@ -368,8 +380,8 @@ def _correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
 def _symmetric_derivatives(config: ExperimentConfig) -> np.ndarray:
     """Probability matching over shift orbits: N*P0(0, s) for s = 0..N-2 per pair."""
     n = config.dimension
-    pairs, uses = _settings_pairs(config)
-    by_port = n * np.array([pure_coincidence_derivatives(config, i, j) for i, j in pairs])
+    uses = _settings_pairs(config.n_alice, config.n_bob)[1]
+    by_port = n * pure_coincidence_derivatives(config)
     by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
     return by_phase.reshape(-1, *uses.shape[1:], n)
 
@@ -466,7 +478,7 @@ def _ascend(objective, objective_and_gradient, x: np.ndarray) -> np.ndarray:
 def _vector_config(dimension: int, vector: np.ndarray) -> ExperimentConfig:
     """Two settings per party, first phase of every setting pinned to zero."""
     rows = np.asarray(vector, dtype=float).reshape(4, dimension - 1)
-    settings = tuple((0.0, *map(float, row)) for row in rows)
+    settings = tuple((0.0, *row) for row in rows.tolist())
     return ExperimentConfig(dimension, settings[:2], settings[2:])
 
 

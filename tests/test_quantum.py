@@ -10,6 +10,9 @@ from multiport_bell.quantum import (
     fourier_matrix,
     joint_probabilities,
     observable_unitary,
+    pair_coincidences,
+    pure_coincidence_derivatives,
+    pure_coincidences,
 )
 from multiport_bell.threshold import builtin_config
 
@@ -116,6 +119,50 @@ def test_joint_probabilities_follow_the_born_rule(dimension):
                 expected = (1.0 - noise) * pure + noise / dimension**2
                 table = joint_probabilities(cfg, i, j, noise)
                 assert np.max(np.abs(table - expected)) <= 1e-12
+
+
+def per_pair_configs():
+    rng = np.random.default_rng(20261019)
+    for dimension in range(2, 7):
+        for n_alice, n_bob in ((1, 1), (1, 3), (2, 2), (3, 1), (3, 3)):
+            phases = rng.uniform(-100.0, 100.0, size=(n_alice + n_bob, dimension))
+            alice, bob = phases[:n_alice], phases[n_alice:]
+            yield ExperimentConfig(dimension, tuple(map(tuple, alice)), tuple(map(tuple, bob)))
+
+
+def pair_terms(cfg, i, j):
+    """The per-pair Fourier phases gamma**(s*m) and exp(i*(phi_m + theta_m))."""
+    n = cfg.dimension
+    fourier = np.exp(2j * np.pi / n * np.outer(np.arange(n), np.arange(n)))
+    local = np.exp(1j * (np.asarray(cfg.alice_settings[i]) + np.asarray(cfg.bob_settings[j])))
+    return fourier, local
+
+
+def test_pair_coincidences_equal_the_per_pair_born_rule_bit_for_bit():
+    for cfg in per_pair_configs():
+        n = cfg.dimension
+        batched = pair_coincidences(cfg)
+        assert batched.shape == (cfg.n_alice * cfg.n_bob, n)
+        for i in range(cfg.n_alice):
+            for j in range(cfg.n_bob):
+                fourier, local = pair_terms(cfg, i, j)
+                expected = np.abs(fourier @ local) ** 2 / n**3
+                assert np.array_equal(batched[i * cfg.n_bob + j], expected)
+                assert np.array_equal(pure_coincidences(cfg, i, j), expected)
+
+
+def test_pure_coincidence_derivatives_equal_the_per_pair_formula_bit_for_bit():
+    for cfg in per_pair_configs():
+        n = cfg.dimension
+        batched = pure_coincidence_derivatives(cfg)
+        assert batched.shape == (cfg.n_alice * cfg.n_bob, n, n)
+        for i in range(cfg.n_alice):
+            for j in range(cfg.n_bob):
+                fourier, local = pair_terms(cfg, i, j)
+                terms = fourier * local
+                amplitudes = terms.sum(axis=1)
+                expected = -2.0 * np.imag(amplitudes.conj()[:, None] * terms) / n**3
+                assert np.array_equal(batched[i * cfg.n_bob + j], expected)
 
 
 def test_joint_probabilities_validation():

@@ -178,6 +178,13 @@ def test_rejected_start_solves_as_without_one():
     for start in ([0, 4], [-1, 2], [2, 2]):
         with pytest.raises(ValueError):
             solve(lp, starts=[start])
+    with pytest.raises(TypeError):
+        solve(lp, starts=[[0, 1.5]])
+    for start in ([0, 2], [0, 2, 3]):
+        indices = [np.int64(j) for j in start]
+        sol = solve(lp, starts=[indices])
+        assert sol.iterations == cold.iterations
+        assert np.array_equal(sol.x, cold.x)
 
 
 def test_start_with_slightly_negative_value_is_rejected():
@@ -249,6 +256,14 @@ def test_factorize_rejects_an_entry_above_1e8_in_the_image_of_a():
     assert factorized([[1.0, 0.0, 2e7], [0.0, 1.0, 0.0]], [1.0, 1.0]) is not None
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_factorize_rejects_a_non_finite_entry_in_a_non_basic_column(entry):
+    # the single comparison with 1e8 is false for a NaN as for an infinity
+    with np.errstate(invalid="ignore"):
+        assert factorized([[1.0, 0.0, entry], [0.0, 1.0, 0.0]], [1.0, 1.0]) is None
+        assert factorized([[1.0, 0.0, 0.0], [0.0, 1.0, entry]], [1.0, 1.0]) is None
+
+
 def test_factorize_well_conditioned_basis_gives_inverse_and_values():
     rng = np.random.default_rng(20261019)
     matrix = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
@@ -313,6 +328,24 @@ def test_degenerate_cycling_prone_lp_terminates(monkeypatch):
         assert check_certificate(lp, sol).passed
         assert all(j < lp.n_cols for j in sol.basis)
         assert solve(lp, starts=[sol.basis]).iterations == 0
+
+
+def test_phase_1_stalled_under_blands_rule_fails_early():
+    # a badly scaled LP on which phase 1 cycles even under Bland's rule; HiGHS
+    # finds it infeasible
+    lp = LinearProgram(
+        [0.0, 0.0, 3.0],
+        [[-2e5, -1e8, -2e9], [-3e7, 1e3, -1e-9], [0.0, -1e9, 2e-9]],
+        [0.0, -2.0, 2.0],
+    )
+    assert scipy_value(lp)[0] == 2
+    sol = solve(lp)
+    assert sol.status == "failed"
+    assert sol.detail == "phase 1 stalled under Bland's rule"
+    # Bland's rule engages after 5(m + n) pivots without a gain, and the solve
+    # gives up after another 5(m + n); the pivots that gained come first
+    m, n = lp.n_rows, lp.n_cols
+    assert sol.iterations <= 11 * (m + n)
 
 
 def test_random_feasible_property_suite():

@@ -237,7 +237,7 @@ def test_probability_weights_cover_every_strategy_uniformly_per_orbit():
 
 
 def test_drivers_build_each_quantum_table_once(monkeypatch):
-    calls = {"pure_coincidences": 0, "joint_probabilities": 0, "correlation_matrix": 0}
+    calls = {"pair_coincidences": 0, "joint_probabilities": 0, "correlation_matrix": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
@@ -247,10 +247,9 @@ def test_drivers_build_each_quantum_table_once(monkeypatch):
         monkeypatch.setattr(threshold, name, counted)
     cfg = builtin_config("paper-qutrit")
     probability_threshold(cfg)
-    pairs = cfg.n_alice * cfg.n_bob
-    assert calls == {"pure_coincidences": pairs, "joint_probabilities": 0, "correlation_matrix": 0}
+    assert calls == {"pair_coincidences": 1, "joint_probabilities": 0, "correlation_matrix": 0}
     correlation_threshold(cfg)
-    assert calls == {"pure_coincidences": 4, "joint_probabilities": 0, "correlation_matrix": 1}
+    assert calls == {"pair_coincidences": 1, "joint_probabilities": 0, "correlation_matrix": 1}
 
 
 def test_drivers_enumerate_each_strategy_shape_once(monkeypatch):
@@ -542,7 +541,8 @@ def test_scan_probes_build_no_derivatives(monkeypatch):
         monkeypatch.setattr(threshold, name, counted)
     scan(3, 1, 0, "prob")
     assert calls["solve"] > 0
-    assert calls["pure_coincidence_derivatives"] < 2 * calls["solve"]
+    # one call builds the derivatives of every settings pair
+    assert calls["pure_coincidence_derivatives"] < calls["solve"] / 2
 
 
 def test_scan_solves_often_start_optimal(monkeypatch):
