@@ -216,10 +216,6 @@ def _report_dict(report: ProofReport) -> dict:
 
 def _cmd_probabilities(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if not 0 <= args.alice < config.n_alice:
-        raise ConfigError(f"alice setting index {args.alice} out of range")
-    if not 0 <= args.bob < config.n_bob:
-        raise ConfigError(f"bob setting index {args.bob} out of range")
     table = joint_probabilities(config, args.alice, args.bob, args.noise)
     n = config.dimension
     print(f"settings: alice={args.alice} bob={args.bob} noise={args.noise!r}")

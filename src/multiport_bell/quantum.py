@@ -12,6 +12,8 @@ Noise enters only as the fraction F of the totally chaotic (uniform) state
 mixed into the pure pair; it rescales every correlation value by 1 - F and
 pulls every joint probability towards 1/N**2.
 
+Both quantum points are built for every settings pair at once, row
+i*n_bob + j for (i, j); the per-pair functions check indices and read one.
 All operations are pure and deterministic; returned arrays are fresh.
 """
 
@@ -132,14 +134,6 @@ def pair_coincidences(config: ExperimentConfig) -> np.ndarray:
     return np.abs(amplitudes[:, :, 0]) ** 2 / config.dimension**3
 
 
-def pure_coincidences(
-    config: ExperimentConfig, alice_index: int, bob_index: int
-) -> np.ndarray:
-    """Row (alice_index, bob_index) of ``pair_coincidences``."""
-    _check_indices(config, alice_index, bob_index)
-    return pair_coincidences(config)[alice_index * config.n_bob + bob_index]
-
-
 def pure_coincidence_derivatives(config: ExperimentConfig) -> np.ndarray:
     """Entry (p, s, m) is the derivative of ``pair_coincidences`` entry
     (p, s) by port m's phase of either setting of pair p; only
@@ -155,57 +149,49 @@ def joint_probabilities(
     """N x N coincidence table for one settings pair.
 
     Entry (a, b) is the probability that Alice's detector a and Bob's
-    detector b fire: the pure-state term ``pure_coincidences[a + b mod N]``
+    detector b fire: the pair's row of ``pair_coincidences`` at a + b mod N,
     mixed with the uniform table by the chaotic fraction ``noise``.
     """
+    _check_indices(config, alice_index, bob_index)
     _require_noise(noise)
-    pure = pure_coincidences(config, alice_index, bob_index)
+    pure = pair_coincidences(config)[alice_index * config.n_bob + bob_index]
     n = config.dimension
     m = np.arange(n)
     table = (1.0 - noise) * pure[np.add.outer(m, m) % n] + noise / n**2
     return np.maximum(table, 0.0)
 
 
-def _cyclic_terms(
-    config: ExperimentConfig, alice_index: int, bob_index: int
-) -> np.ndarray:
-    """exp(i*delta_m), delta_m = phi_m - phi_{m+1} + theta_m - theta_{m+1} mod N."""
-    _check_indices(config, alice_index, bob_index)
-    phi = np.asarray(config.alice_settings[alice_index])
-    theta = np.asarray(config.bob_settings[bob_index])
+def _cyclic_terms(config: ExperimentConfig) -> np.ndarray:
+    """exp(i*delta_m) of every settings pair, row i*n_bob + j, where
+    delta_m = phi_m - phi_{m+1} + theta_m - theta_{m+1} with indices mod N."""
+    phi = np.array(config.alice_settings)[:, None, :]
+    theta = np.array(config.bob_settings)[None, :, :]
     following = (np.arange(config.dimension) + 1) % config.dimension
-    delta = (phi - phi[following]) + (theta - theta[following])
-    return np.exp(1j * delta)
+    delta = (phi - phi[..., following]) + (theta - theta[..., following])
+    return np.exp(1j * delta.reshape(-1, config.dimension))
+
+
+def correlation_matrix(config: ExperimentConfig, noise: float = 0.0) -> np.ndarray:
+    """Complex correlation of every settings pair as an n_alice x n_bob matrix.
+
+    Entry (i, j) is the closed form of sum_{a,b} gamma**(a+b) P(a, b): the
+    cyclic phase sum (1 - F)/N * sum_m exp(i*delta_m) of ``_cyclic_terms``.
+    """
+    _require_noise(noise)
+    values = (1.0 - noise) * (_cyclic_terms(config).sum(axis=1) / config.dimension)
+    return values.reshape(config.n_alice, config.n_bob)
 
 
 def correlation_value(
     config: ExperimentConfig, alice_index: int, bob_index: int, noise: float = 0.0
 ) -> complex:
-    """Complex correlation for one settings pair.
-
-    Closed form of sum_{a,b} gamma**(a+b) P(a, b): the cyclic phase sum
-    (1 - F)/N * sum_m exp(i*(phi_m - phi_{m+1} + theta_m - theta_{m+1}))
-    with indices mod N.
-    """
-    _require_noise(noise)
-    terms = _cyclic_terms(config, alice_index, bob_index)
-    return (1.0 - noise) * complex(terms.sum() / config.dimension)
+    """Entry (alice_index, bob_index) of ``correlation_matrix``."""
+    _check_indices(config, alice_index, bob_index)
+    return complex(correlation_matrix(config, noise)[alice_index, bob_index])
 
 
-def correlation_derivatives(
-    config: ExperimentConfig, alice_index: int, bob_index: int
-) -> np.ndarray:
-    """Derivative of the noiseless ``correlation_value`` by port m's phase of
-    either setting: i/N * (exp(i*delta_m) - exp(i*delta_{m-1}))."""
-    terms = _cyclic_terms(config, alice_index, bob_index)
-    return 1j * (terms - terms[np.arange(config.dimension) - 1]) / config.dimension
-
-
-def correlation_matrix(config: ExperimentConfig, noise: float = 0.0) -> np.ndarray:
-    """All correlation values arranged as an n_alice x n_bob complex matrix."""
-    return np.array(
-        [
-            [correlation_value(config, i, j, noise) for j in range(config.n_bob)]
-            for i in range(config.n_alice)
-        ]
-    )
+def correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
+    """Entry (p, m) is the derivative of pair p's noiseless correlation value
+    by port m's phase of either setting: i/N * (exp(i*delta_m) - exp(i*delta_{m-1}))."""
+    terms = _cyclic_terms(config)
+    return 1j * (terms - terms[:, np.arange(config.dimension) - 1]) / config.dimension

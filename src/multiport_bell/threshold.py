@@ -29,8 +29,9 @@ else from the V=0 basis the drivers start from.
 
 Only the V column depends on the phases at all, so every threshold LP is a
 copy of one template LP per shape (statistics, cap, N, n_alice, n_bob) with
-its own V column written in, and the quantum point it matches is built for
-every settings pair at once (``quantum.pair_coincidences``).
+its own V column written in; the quantum point it matches and its phase
+derivatives are built for every settings pair at once
+(``quantum.pair_coincidences``, ``quantum.correlation_matrix``).
 """
 
 from __future__ import annotations
@@ -371,9 +372,8 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 
 def _correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
     """Correlation matching: real parts over imaginary parts of the values."""
-    pairs, uses = _settings_pairs(config.n_alice, config.n_bob)
-    by_port = np.array([correlation_derivatives(config, i, j) for i, j in pairs])
-    by_phase = by_port[:, None, :] * uses[:, :, None]
+    uses = _settings_pairs(config.n_alice, config.n_bob)[1]
+    by_phase = correlation_derivatives(config)[:, None, :] * uses[:, :, None]
     return np.concatenate([by_phase.real, by_phase.imag])
 
 

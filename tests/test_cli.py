@@ -222,13 +222,17 @@ def test_probabilities_table(capsys, config_path):
 
 
 def test_probabilities_bad_index(capsys, config_path):
-    for alice, bob, party, index in [
-        ("5", "0", "alice", 5),
-        ("0", "2", "bob", 2),
-        ("-1", "0", "alice", -1),
-        ("0", "-1", "bob", -1),
+    for alice, bob, noise, party, index in [
+        ("5", "0", "0", "alice", 5),
+        ("0", "2", "0", "bob", 2),
+        ("-1", "0", "0", "alice", -1),
+        ("0", "-1", "0", "bob", -1),
+        # the index error wins over a bad noise fraction
+        ("2", "0", "1.5", "alice", 2),
+        ("0", "-3", "-0.1", "bob", -3),
     ]:
         argv = ["probabilities", "--config", config_path, "--alice", alice, "--bob", bob]
+        argv += ["--noise", noise]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {party} setting index {index} out of range\n"

@@ -5,6 +5,7 @@ import pytest
 
 from multiport_bell.quantum import (
     ExperimentConfig,
+    correlation_derivatives,
     correlation_matrix,
     correlation_value,
     fourier_matrix,
@@ -12,7 +13,6 @@ from multiport_bell.quantum import (
     observable_unitary,
     pair_coincidences,
     pure_coincidence_derivatives,
-    pure_coincidences,
 )
 from multiport_bell.threshold import builtin_config
 
@@ -148,7 +148,6 @@ def test_pair_coincidences_equal_the_per_pair_born_rule_bit_for_bit():
                 fourier, local = pair_terms(cfg, i, j)
                 expected = np.abs(fourier @ local) ** 2 / n**3
                 assert np.array_equal(batched[i * cfg.n_bob + j], expected)
-                assert np.array_equal(pure_coincidences(cfg, i, j), expected)
 
 
 def test_pure_coincidence_derivatives_equal_the_per_pair_formula_bit_for_bit():
@@ -163,6 +162,37 @@ def test_pure_coincidence_derivatives_equal_the_per_pair_formula_bit_for_bit():
                 amplitudes = terms.sum(axis=1)
                 expected = -2.0 * np.imag(amplitudes.conj()[:, None] * terms) / n**3
                 assert np.array_equal(batched[i * cfg.n_bob + j], expected)
+
+
+def cyclic_terms(cfg, i, j):
+    """exp(i*delta_m) of one settings pair, delta_m as in the closed form."""
+    phi, theta = np.asarray(cfg.alice_settings[i]), np.asarray(cfg.bob_settings[j])
+    following = (np.arange(cfg.dimension) + 1) % cfg.dimension
+    return np.exp(1j * ((phi - phi[following]) + (theta - theta[following])))
+
+
+def test_correlation_views_equal_the_per_pair_closed_form_bit_for_bit():
+    for cfg in per_pair_configs():
+        n = cfg.dimension
+        derivatives = correlation_derivatives(cfg)
+        assert derivatives.shape == (cfg.n_alice * cfg.n_bob, n)
+        for i in range(cfg.n_alice):
+            for j in range(cfg.n_bob):
+                terms = cyclic_terms(cfg, i, j)
+                expected = 1j * (terms - terms[np.arange(n) - 1]) / n
+                assert np.array_equal(derivatives[i * cfg.n_bob + j], expected)
+                for noise in (0.0, 0.37, 1.0):
+                    value = (1 - noise) * complex(terms.sum() / n)
+                    assert correlation_matrix(cfg, noise)[i, j] == value
+                    assert correlation_value(cfg, i, j, noise) == value
+
+
+def test_per_pair_views_check_indices_before_noise():
+    cfg = builtin_config("paper-qutrit")
+    for view in (correlation_value, joint_probabilities):
+        for i, j in ((2, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                view(cfg, i, j, 1.5)
 
 
 def test_joint_probabilities_validation():

@@ -10,7 +10,7 @@ from multiport_bell.quantum import (
     ExperimentConfig,
     correlation_matrix,
     joint_probabilities,
-    pure_coincidences,
+    pair_coincidences,
 )
 from multiport_bell.simplex import LPSolution, SolverFailure, check_certificate, solve
 from multiport_bell.strategies import (
@@ -463,7 +463,7 @@ def test_pure_coincidences_are_the_joint_table_by_outcome_sum():
     for dimension in (2, 3, 4, 5, 6):
         cfg = random_config(rng, dimension)
         for i, j in itertools.product(range(2), range(2)):
-            pure = pure_coincidences(cfg, i, j)
+            pure = pair_coincidences(cfg)[i * cfg.n_bob + j]
             table = joint_probabilities(cfg, i, j)
             assert np.max(np.abs(pure - table[0])) <= 1e-15
             sums = np.add.outer(np.arange(dimension), np.arange(dimension)) % dimension
@@ -740,6 +740,41 @@ def test_line_search_ignores_roundoff_at_every_nudge_phase(monkeypatch):
 
             monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
             assert scan(3, 1, 6, "prob").history[0][1] == pytest.approx(reference, abs=1e-9)
+
+
+def counted(function):
+    """function, and a list that gains one entry per call of it."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(None)
+        return function(x)
+
+    return wrapper, calls
+
+
+def test_ascend_returns_the_start_on_a_zero_gradient():
+    start = np.array([0.4, -1.2, 2.0])
+    gradient, calls = counted(lambda x: (0.0, np.zeros_like(x)))
+    result = threshold._ascend(lambda x: 0.0, gradient, start.copy())
+    assert np.array_equal(result, start)
+    assert len(calls) == 1
+
+
+def test_ascend_returns_the_swept_point_when_backtracking_fails():
+    # the gradient of -|x|**2 with the wrong sign: every step loses value
+    def objective(x):
+        return -float(x @ x)
+
+    start = np.array([3.0, -2.0])
+    swept, value = start.copy(), objective(start)
+    for k in range(swept.size):
+        value = threshold._line_max(objective, swept, k, value)
+    gradient, calls = counted(lambda x: (objective(x), 2.0 * x))
+    result = threshold._ascend(objective, gradient, start.copy())
+    assert np.array_equal(result, swept)
+    assert not np.array_equal(swept, start)
+    assert len(calls) == 1 + threshold.SCAN_BACKTRACKS
 
 
 def test_scan_qubit_recovers_chsh_threshold():
