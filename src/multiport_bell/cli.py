@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -227,7 +228,10 @@ def _cmd_probabilities(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: argparse keeps no per-call state in
+    # a parser, and help and error text look up the streams when they print
     parser = argparse.ArgumentParser(
         prog="multiport-bell",
         description="Local-realism noise thresholds for entangled qudit pairs "

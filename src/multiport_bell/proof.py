@@ -26,9 +26,9 @@ continues so a report always covers all nine checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -125,17 +125,22 @@ def orbit_classes(permutation: list[int]) -> tuple[list[tuple[int, int]], list[i
     return pairs, fixed
 
 
+@functools.cache
+def _scaled_bases() -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Every sign * alpha**power * base as one (18, 2, 2) stack, with its
+    (sign, power, base index) tag."""
+    tags = [(sign, power, b) for b in range(3) for sign in (1, -1) for power in range(3)]
+    bases = base_matrices()
+    return tags, np.stack([sign * ALPHA**power * bases[b] for sign, power, b in tags])
+
+
 def match_base_scaling(matrix: np.ndarray) -> tuple[int, int, int]:
     """Unique (sign, power, base index) with matrix == sign * alpha**power * base."""
-    hits = []
-    for base_index, base in enumerate(base_matrices()):
-        for sign in (1, -1):
-            for power in range(3):
-                if np.max(np.abs(matrix - sign * ALPHA**power * base)) <= _SCALING_TOL:
-                    hits.append((sign, power, base_index))
+    tags, stack = _scaled_bases()
+    hits = np.flatnonzero(np.abs(matrix - stack).max(axis=(1, 2)) <= _SCALING_TOL)
     if len(hits) != 1:
         raise ValueError(f"expected exactly one base scaling, found {len(hits)}")
-    return hits[0]
+    return tags[hits[0]]
 
 
 def _maxdev(array: np.ndarray) -> float:
@@ -207,11 +212,9 @@ def run_proof(config: ExperimentConfig | None = None) -> ProofReport:
     b10_powers = sorted(t for s, t, b in pair_tags if b == 1 and s == 1)
     neg_b13_powers = sorted(t for s, t, b in pair_tags if b == 2 and s == -1)
     fixed_ok = sorted(fixed_tags) == [(1, 0, 2), (1, 1, 2), (1, 2, 2)]
-    coincidences = sum(
-        1
-        for a, b_ in combinations(range(len(pairs)), 2)
-        if _maxdev(sums[a] - sums[b_]) <= _SCALING_TOL
-    )
+    pair_sums = np.stack(sums[: len(pairs)])
+    pair_devs = np.abs(pair_sums[:, None] - pair_sums[None, :]).max(axis=(2, 3))
+    coincidences = int(np.count_nonzero(np.triu(pair_devs <= _SCALING_TOL, k=1)))
     structure_ok = (
         b1_powers == [0, 1, 2]
         and b10_powers == [0, 1, 2]

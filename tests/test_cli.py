@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multiport_bell import builtin_config, correlation_threshold, threshold
+from multiport_bell import builtin_config, cli, correlation_threshold, threshold
 from multiport_bell.cli import main
 from multiport_bell.simplex import LPSolution
 
@@ -281,6 +281,30 @@ def test_scan_negative_seed_exits_2(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def test_repeated_main_calls_are_independent(capsys, config_path):
+    # the parser is built once per process; no call may see another's state
+    sequence = [
+        ["threshold", "--builtin", "paper-qutrit", "--method", "both", "--json"],
+        ["threshold"],
+        ["--help"],
+        ["verify-proof", "--json"],
+        ["probabilities", "--config", config_path, "--alice", "5", "--bob", "0"],
+    ]
+    passes = []
+    for _ in range(2):
+        calls = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            calls.append((code, captured.out, captured.err))
+        passes.append(calls)
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [0, 2, 0, 0, 2]
+    assert passes[0][1][2].startswith("usage: multiport-bell threshold")
+    assert passes[0][2][1].startswith("usage: multiport-bell")
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize(

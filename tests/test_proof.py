@@ -128,6 +128,12 @@ def test_g_matching_bruteforce_oracle():
         assert hits[0] == match_base_scaling(g)
 
 
+@pytest.mark.parametrize("matrix", [np.eye(2), np.zeros((2, 2))])
+def test_match_base_scaling_rejects_an_unmatched_matrix(matrix):
+    with pytest.raises(ValueError, match=r"^expected exactly one base scaling, found 0$"):
+        match_base_scaling(matrix)
+
+
 def test_exactly_three_coincident_class_sums():
     _, _, members, sums = orbit_class_sums()
     coincidences = [

@@ -394,7 +394,8 @@ RATIO_TEST_START = (53, 12, 50, 10, 55, 44, 20, 19, 33)
     raises=SolverFailure,
     strict=True,
     reason="from the V=0 start, V enters on a degenerate row at pivot element 1.04e-9, "
-    "just above PIVOT_TOL, and 9 pivots later the solve ends 'negative variable'",
+    "just above PIVOT_TOL; the solve then ends 'phase 2 primal infeasible on "
+    "refactorization' (it ended 'negative variable' while phase 2 ran on reduced rows)",
 )
 def test_ratio_test_lp_solves_from_the_zero_visibility_start(monkeypatch):
     key = (threshold._correlation_statistics, False, 4, 2, 2)
