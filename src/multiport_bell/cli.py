@@ -6,8 +6,10 @@ builtin), ``scan`` (seeded search over phase settings), ``verify-proof``
 (coincidence table of one settings pair).
 
 Exit codes: 0 success (for verify-proof: all checks passed), 1 check
-failure, 2 invalid config or arguments, 3 solver failure.  Errors go to
-stderr, results to stdout.  Angles are radians everywhere.
+failure, 2 invalid config or arguments, 3 solver failure, 141 stdout closed
+before all output was written (128 + SIGPIPE, as a shell reports a process
+that a broken pipe ends; nothing goes to stderr).  Errors go to stderr,
+results to stdout.  Angles are radians everywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -286,7 +289,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        # flushed here, so that a closed pipe shows inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull,
+        # so that no second BrokenPipeError reaches stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

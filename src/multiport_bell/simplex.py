@@ -5,21 +5,21 @@ threshold problems in this package rather than generality:
 
 - the first of the starting bases named by the caller that is primal
   feasible skips phase 1, and so does one that is only dual feasible, after
-  at most m dual simplex pivots.  A start is tried on the original rows
-  first: one that factorizes proves them independent;
+  at most m dual simplex pivots.  Starts are tried on the original rows
+  only: one that factorizes proves them independent, and a rank-deficient
+  LP accepts none;
 - only when no start is accepted are the rows reduced to an orthonormal
   basis of A's row space.  Only some threshold LPs need it: the full
   probability LPs are rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83
-  of rank 26, 66 x 258 of rank 50, 102 x 627 of rank 82 at N=5), and so is
-  the N=2 correlation LP (10 x 10 of rank 6), while the driver LPs at N >= 3
-  have full row rank.  The reduction takes the left singular vectors from
-  an SVD of A, or, for A with at least 16 rows and more columns than rows,
-  from an SVD of the m x m triangle of a QR of A^T.  A rank-deficient LP
-  tries its starts again on the reduced rows.  Otherwise phase 1 runs on
-  the reduced rows reflected by the Householder matrix H with H b = |b| e_1,
-  so that it starts with one artificial above zero instead of all m (about
-  a third fewer pivots at 102 x 627), and phase 2 starts from its basis
-  factorized on the unreflected rows, the original ones at full row rank;
+  of rank 26, 66 x 258 of rank 50, 102 x 627 of rank 82 at N=5), while
+  every driver LP has full row rank.  The reduction takes the left singular
+  vectors from an SVD of A, or, for A with at least 16 rows and more columns
+  than rows, from an SVD of the m x m triangle of a QR of A^T.  Phase 1
+  then runs on the reduced rows reflected by the Householder matrix H with
+  H b = |b| e_1, so that it starts with one artificial above zero instead
+  of all m (about a third fewer pivots at 102 x 627), and phase 2 starts
+  from its basis factorized on the unreflected rows, the original ones at
+  full row rank;
 - each pivot updates only the m x m basis inverse and the basic values
   (prices and reduced costs are recomputed from them), and a
   refactorization solves the basis against [I | b] only;
@@ -99,7 +99,7 @@ class LPSolution:
     max_residual: float
     iterations: int
     detail: str = ""
-    basis: tuple[int, ...] | None = None  # structural columns, when optimal
+    basis: tuple[int, ...] | None = None  # when optimal: columns, a start at full row rank
     dual: np.ndarray | None = None  # one price per original row, when optimal
 
 
@@ -327,25 +327,25 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     with a silently wrong answer.
 
     ``starts`` are candidate starting bases, tried in order (each one
-    distinct structural columns, else ValueError), first on the original
-    rows.  A candidate is accepted if it has one column per row, passes the
+    distinct structural columns, else ValueError) on the original rows.  A
+    candidate is accepted if it has one column per row, passes the
     strict refactorization and either leaves no basic value below
     -CERTIFICATE_VARIABLE_TOL or, having no reduced cost above PIVOT_TOL,
     reaches such values within m dual simplex pivots (``_dual_optimize``),
     whose basis phase 2 refactorizes.  An accepted start replaces phase 1
-    and proves the rows independent, so they are not reduced.  A rejected
-    candidate leaves the solve as it was.  If none is accepted, the
-    equalities are replaced by an orthonormal basis of their row space, so
-    redundant rows never reach the basis and every phase-1 artificial leaves
-    it; a rank-deficient LP tries its starts again on those rows, and
-    otherwise phase 1 runs on them, reflected by ``_reflected``.  Phase 2
-    starts from a basis factorized on the unreflected rows, the original
-    ones at full row rank, so a solve from a start and a solve without
-    starts that ends in that basis agree bit for bit.  An optimal solution
-    carries its ``basis``, a start for LPs with the same A, b, and its
-    ``dual`` y over the original rows (b.y is the optimum and c - A^T y <=
-    0): the prices c_B B^-1 from the verified final basis inverse, mapped
-    back by U when phase 2 ran on reduced rows.
+    and proves the rows independent, so they are not reduced; a
+    rank-deficient LP accepts none.  A rejected candidate leaves the solve
+    as it was.  If none is accepted, the equalities are replaced by an
+    orthonormal basis of their row space, so redundant rows never reach the
+    basis and every phase-1 artificial leaves it, and phase 1 runs on them,
+    reflected by ``_reflected``.  Phase 2 starts from a basis factorized on
+    the unreflected rows, the original ones at full row rank, so a solve
+    from a start and a solve without starts that ends in that basis agree
+    bit for bit.  An optimal solution carries its ``basis``, a start for LPs
+    with the same A, b when A has full row rank, and its ``dual`` y over the
+    original rows (b.y is the optimum and c - A^T y <= 0): the prices
+    c_B B^-1 from the verified final basis inverse, mapped back by U when
+    phase 2 ran on reduced rows.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
@@ -362,21 +362,10 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         return LPSolution(status, math.nan, None, math.nan, iterations, detail)
 
     # [A | I | b] on the original rows; the reduced rows replace them only
-    # when no start is accepted here
+    # when no start is accepted
     data = np.column_stack([a0, np.eye(b0.size), b0])
+    m = b0.size
     u = None  # U of the reduced rows, when phase 2 runs on them
-    accepted = _accepted_start(data, starts, c)
-    if accepted is None:
-        reduced = _row_space(a0, b0)
-        if reduced is None:
-            return unsolved("infeasible", "rhs outside the column space of A")
-        u, a, b = reduced
-        if b.size == b0.size:
-            u = None  # full row rank: phase 2 stays on the original rows
-        else:
-            data = np.column_stack([a, np.eye(b.size), b])
-            accepted = _accepted_start(data, starts, c)
-    m = data.shape[0]
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
     def optimize_verified(costs: np.ndarray, data: np.ndarray) -> str:
@@ -408,6 +397,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         improving = np.any(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)
         return "dual infeasible on refactorization" if improving else "optimal"
 
+    accepted = _accepted_start(data, starts, c)
     # whether ``inverse`` was factorized from ``basis`` with no pivot since.
     # Dual simplex pivots and phase 1 start it False, so that their basis is
     # refactorized even after no primal pivot; for phase 1 that is the only
@@ -419,6 +409,15 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         iterations += pivots
         factorized = pivots == 0
     else:
+        reduced = _row_space(a0, b0)
+        if reduced is None:
+            return unsolved("infeasible", "rhs outside the column space of A")
+        u, a, b = reduced
+        if b.size == b0.size:
+            u = None  # full row rank: phase 2 stays on the original rows
+        else:
+            data = np.column_stack([a, np.eye(b.size), b])
+            m = b.size
         # phase 1 runs on the rows reflected so that b = |b| e_1: it starts
         # with a single artificial above zero
         reflected = _reflected(a, b)

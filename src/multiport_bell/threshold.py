@@ -5,7 +5,8 @@ deterministic strategies matches it.  Both formulations maximize the
 visibility V = 1 - F as an LP variable capped at 1:
 
 * correlation matching equates the complex correlation matrix entrywise
-  (real and imaginary parts) with V times the noiseless quantum matrix;
+  (real and imaginary parts, real parts alone at N=2) with V times the
+  noiseless quantum matrix;
 * probability matching equates the full coincidence tables with the
   noise-mixed quantum tables V*P0 + (1 - V)/N**2.
 
@@ -132,18 +133,25 @@ def _strategy_data(
     return strategies, _frozen(orbits)
 
 
+def _real_rows(values: np.ndarray, dimension: int) -> np.ndarray:
+    """The LP rows of complex correlation rows: real parts over imaginary
+    parts, or real parts alone at N=2, where every outcome value is +-1 and
+    the imaginary rows would be roundoff that leaves the LP rank-deficient."""
+    return np.concatenate([values.real, values.imag] if dimension > 2 else [values.real])
+
+
 @lru_cache(maxsize=None)
 def _correlation_data(
     dimension: int, n_alice: int, n_bob: int
 ) -> tuple[tuple[DeterministicStrategy, ...], np.ndarray, np.ndarray]:
     """The gauge-fixed strategies (alice[0] == 0, one per distinct matrix),
-    their complex outcome values (one column each) and the LP block of real
-    parts stacked over imaginary parts."""
+    their complex outcome values (one column each) and the LP block of their
+    ``_real_rows``."""
     everything = _strategy_data(dimension, n_alice, n_bob)[0]
     strategies = everything[: dimension ** (n_alice + n_bob - 1)]
     values = strategy_values(strategies, dimension)  # (K, n_alice, n_bob)
     table = values.reshape(len(strategies), -1).T
-    return strategies, _frozen(table), _frozen(np.vstack([table.real, table.imag]))
+    return strategies, _frozen(table), _frozen(_real_rows(table, dimension))
 
 
 @lru_cache(maxsize=None)
@@ -203,10 +211,10 @@ def _settings_pairs(n_alice: int, n_bob: int) -> tuple[tuple[tuple[int, int], ..
 
 def _correlation_statistics(config: ExperimentConfig):
     """Correlation matching: the strategy values against the noiseless
-    correlation matrix, offset 0; the block matches real and imaginary parts."""
+    correlation matrix, offset 0; the block matches its ``_real_rows``."""
     data = _correlation_data(config.dimension, config.n_alice, config.n_bob)
     point = correlation_matrix(config).reshape(-1)
-    return (*data, point, np.concatenate([point.real, point.imag]), 0.0)
+    return (*data, point, _real_rows(point, config.dimension), 0.0)
 
 
 def _symmetric_statistics(config: ExperimentConfig):
@@ -371,10 +379,10 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 
 
 def _correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
-    """Correlation matching: real parts over imaginary parts of the values."""
+    """Correlation matching: the ``_real_rows`` of the values' derivatives."""
     uses = _settings_pairs(config.n_alice, config.n_bob)[1]
     by_phase = correlation_derivatives(config)[:, None, :] * uses[:, :, None]
-    return np.concatenate([by_phase.real, by_phase.imag])
+    return _real_rows(by_phase, config.dimension)
 
 
 def _symmetric_derivatives(config: ExperimentConfig) -> np.ndarray:

@@ -340,11 +340,15 @@ def test_readme_examples_match_the_program(capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(module, *argv):
+def run_module(module, *argv, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-m", module, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
     )
 
 
@@ -358,3 +362,19 @@ def test_running_the_module_calls_main(capsys, config_path, module):
     assert main(["threshold", "--builtin", "paper-qutrit", "--json"]) == 0
     assert good.returncode == 0
     assert good.stdout.decode() == capsys.readouterr().out
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE, as under `| head` once head exits
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = run_module(
+            "multiport_bell", "threshold", "--builtin", "paper-qutrit", "--method", "both",
+            "--json", stdout=write,
+        )
+    finally:
+        os.close(write)
+    assert child.stderr == b""
+    assert child.returncode == 141

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from multiport_bell import proof
 from multiport_bell.proof import (
     ALPHA,
     ANALYTIC_VISIBILITY,
@@ -83,6 +85,18 @@ def test_mutated_config_breaks_symmetry_checks():
     named = {c.name: c for c in report.checks}
     assert not named["q_decomposition"].passed
     assert not named["symmetry_commutes"].passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("shift", [1e-6, math.nan])
+def test_lp_disagreement_fails_the_report_through_lp_agreement(monkeypatch, shift):
+    # an LP value off by more than LP_AGREEMENT_TOL, or NaN, fails that check
+    # alone, and the report with it
+    exact = correlation_threshold(builtin_config("paper-qutrit"))
+    moved = dataclasses.replace(exact, v_thr=exact.v_thr + shift)
+    monkeypatch.setattr(proof, "correlation_threshold", lambda config: moved)
+    report = run_proof()
+    assert [c.name for c in report.checks if not c.passed] == ["lp_agreement"]
     assert not report.passed
 
 

@@ -200,10 +200,13 @@ def test_start_with_slightly_negative_value_is_rejected():
 
 
 def test_optimal_start_refactorizes_once(monkeypatch):
-    # a full-rank LP, then rank-deficient full probability LPs, capped and
-    # pinned, whose cold phase 1 runs on reflected reduced rows
-    lps = [random_feasible_lp(np.random.default_rng(20261101))[0]]
-    lps += [full_probability_lp(n, pin) for n in (2, 3, 4) for pin in (None, 0.5)]
+    # a full-rank LP accepts its own optimal basis with one factorization;
+    # the rank-deficient full probability LPs, capped and pinned, end in a
+    # basis with fewer columns than rows, which a start cannot be, and solve
+    # as without it
+    lp = random_feasible_lp(np.random.default_rng(20261101))[0]
+    cold = solve(lp)
+    assert cold.status == "optimal"
     calls = 0
     factorize = np.linalg.solve
 
@@ -212,16 +215,23 @@ def test_optimal_start_refactorizes_once(monkeypatch):
         calls += 1
         return factorize(*args)
 
-    for lp in lps:
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counted)
+        again = solve(lp, starts=[cold.basis])
+    assert again.status == "optimal" and again.iterations == 0
+    assert calls == 1
+    assert again.objective_value == cold.objective_value
+    assert np.array_equal(again.x, cold.x)
+    assert np.array_equal(again.dual, cold.dual)
+    rows = count_row_spaces(monkeypatch)
+    for lp in [full_probability_lp(n, pin) for n in (2, 3, 4) for pin in (None, 0.5)]:
         cold = solve(lp)
-        assert cold.status == "optimal"
-        calls = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "solve", counted)
-            again = solve(lp, starts=[cold.basis])
-        assert again.status == "optimal" and again.iterations == 0
-        assert calls == 1
-        assert again.objective_value == cold.objective_value
+        assert cold.status == "optimal" and len(cold.basis) < lp.n_rows
+        rows[0] = 0
+        again = solve(lp, starts=[cold.basis])
+        assert rows == [1]
+        assert again.status == "optimal"
+        assert (again.iterations, again.basis) == (cold.iterations, cold.basis)
         assert np.array_equal(again.x, cold.x)
         assert np.array_equal(again.dual, cold.dual)
 
@@ -459,25 +469,42 @@ def count_row_spaces(monkeypatch) -> list[int]:
     return calls
 
 
-def uncapped_lp_and_zero_basis(cfg):
-    """The uncapped symmetric probability LP of an N=3 config, as the scan
-    solves it, and the cached V=0 basis its solves start from."""
-    statistics = threshold._symmetric_statistics
+def lp_and_zero_basis(cfg, statistics, cap):
+    """A threshold LP of ``cfg``, capped as the drivers solve it or uncapped as
+    the scan does, and the cached V=0 basis its solves start from."""
     _, _, block, _, matched, offset = statistics(cfg)
-    threshold._solve_threshold_lp(cfg, statistics, cap=False)
-    zero = threshold._START_BASES[(statistics, False, 3, 2, 2)]
-    return threshold._visibility_lp(block, matched, offset, cap=False), zero
+    threshold._solve_threshold_lp(cfg, statistics, cap=cap)
+    zero = threshold._START_BASES[(statistics, cap, cfg.dimension, cfg.n_alice, cfg.n_bob)]
+    return threshold._visibility_lp(block, matched, offset, cap=cap), zero
 
 
-def test_accepted_start_skips_the_row_reduction(monkeypatch):
-    lp, zero = uncapped_lp_and_zero_basis(builtin_config("paper-qutrit"))
+@pytest.mark.parametrize(
+    "name, statistics, cap, v_thr",
+    [
+        pytest.param(
+            "paper-qutrit", threshold._symmetric_statistics, False, (6 * math.sqrt(3) - 9) / 2,
+            id="paper-qutrit-prob",
+        ),
+        # every N=2 threshold LP has full row rank too, with no imaginary rows
+        pytest.param(
+            "chsh-qubit", threshold._correlation_statistics, True, 1 / math.sqrt(2),
+            id="chsh-qubit-corr-capped",
+        ),
+        pytest.param(
+            "chsh-qubit", threshold._correlation_statistics, False, 1 / math.sqrt(2),
+            id="chsh-qubit-corr-uncapped",
+        ),
+    ],
+)
+def test_accepted_start_skips_the_row_reduction(monkeypatch, name, statistics, cap, v_thr):
+    lp, zero = lp_and_zero_basis(builtin_config(name), statistics, cap)
     calls = count_row_spaces(monkeypatch)
     warm = solve(lp, starts=[zero])
     assert calls == [0]
     cold = solve(lp)
     assert calls == [1]
     assert warm.status == cold.status == "optimal"
-    assert warm.objective_value == pytest.approx((6 * math.sqrt(3) - 9) / 2, abs=1e-12)
+    assert warm.objective_value == pytest.approx(v_thr, abs=1e-12)
     assert cold.objective_value == pytest.approx(warm.objective_value, abs=1e-12)
     # a start accepted on the original rows takes its dual without U
     assert_dual_certifies(lp, warm)
@@ -487,10 +514,12 @@ def test_dual_simplex_resolves_a_nudged_lp_from_the_previous_basis():
     # the scan's case: only the V column moves, and the previous optimal basis
     # is then dual feasible but primal infeasible
     cfg = builtin_config("paper-qutrit")
-    lp, zero = uncapped_lp_and_zero_basis(cfg)
+    statistics = threshold._symmetric_statistics
+    lp, zero = lp_and_zero_basis(cfg, statistics, cap=False)
     previous = solve(lp, starts=[zero])
     moved = ((0.0, 0.1, 0.0), cfg.alice_settings[1])
-    nudged_lp, _ = uncapped_lp_and_zero_basis(ExperimentConfig(3, moved, cfg.bob_settings))
+    nudged = ExperimentConfig(3, moved, cfg.bob_settings)
+    nudged_lp, _ = lp_and_zero_basis(nudged, statistics, cap=False)
     data = np.column_stack([nudged_lp.constraint_matrix, np.eye(nudged_lp.n_rows), nudged_lp.rhs])
     inverse = simplex._factorize(data, np.array(previous.basis))
     assert inverse[:, -1].min() < -simplex.CERTIFICATE_VARIABLE_TOL
@@ -542,25 +571,3 @@ def test_dual_simplex_that_cannot_finish_falls_back(monkeypatch, lp, start):
         assert warm.objective_value == pytest.approx(scipy_value(lp)[1], abs=1e-12)
     else:
         assert cold.status == "infeasible" and scipy_value(lp)[0] == 2
-
-
-def test_rank_deficient_lp_tries_its_start_on_the_reduced_rows(monkeypatch):
-    # the capped N=2 correlation LP is 10 x 10 of rank 6, so its V=0 basis has
-    # 6 columns: it is tried on the reduced rows only, and one pivot from it
-    # reaches V = 1/sqrt(2)
-    cfg = builtin_config("chsh-qubit")
-    statistics = threshold._correlation_statistics
-    _, _, block, _, matched, offset = statistics(cfg)
-    lp = threshold._visibility_lp(block, matched, offset)
-    threshold._solve_threshold_lp(cfg, statistics, cap=True)
-    zero = threshold._START_BASES[(statistics, True, 2, 2, 2)]
-    calls = count_row_spaces(monkeypatch)
-    sol = solve(lp, starts=[zero])
-    assert calls == [1]
-    assert sol.status == "optimal" and sol.iterations == 1
-    assert sol.basis == (9, 6, 1, 0, 4, 8)
-    r = 1 / math.sqrt(2)
-    x = [0.25, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25, 0.0, r, 1 - r]
-    dual = [-r / 2, -r / 2, -r / 2, r / 2, 0.0, 0.0, 0.0, 0.0, r, 0.0]
-    assert np.abs(sol.x - x).max() <= 1e-12
-    assert np.abs(sol.dual - dual).max() <= 1e-12

@@ -175,6 +175,20 @@ def test_symmetric_indicator_matches_loop_reference():
         assert [strategies[k] for k in orbits] == [canonicalize(s, n) for s in everything]
 
 
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+@pytest.mark.parametrize("n_alice, n_bob", [(2, 2), (1, 3), (3, 2)])
+def test_correlation_block_has_full_row_rank(dimension, n_alice, n_bob):
+    # real and imaginary rows, or real rows alone at N=2, where every outcome
+    # value is +-1; so every start the drivers cache can be accepted
+    block = threshold._correlation_data(dimension, n_alice, n_bob)[2]
+    pairs = n_alice * n_bob
+    assert len(block) == (pairs if dimension == 2 else 2 * pairs)
+    assert np.linalg.matrix_rank(block) == len(block)
+    rng = np.random.default_rng(20261024)
+    lp, _ = correlation_lp(random_config(rng, dimension, n_alice, n_bob))
+    assert np.linalg.matrix_rank(lp.constraint_matrix) == lp.n_rows
+
+
 def test_symmetric_threshold_matches_full_lp():
     rng = np.random.default_rng(20261019)
     dimensions = (2, 2, 3, 3, 4, 4, 5, 5, 6, 6)
