@@ -99,6 +99,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     return config_from_dict(data, source=path)
 
 

@@ -70,9 +70,9 @@ class LinearProgram:
         a = np.array(self.constraint_matrix, dtype=float)
         if a.size == 0:
             a = a.reshape(b.size, c.size)
-        if a.ndim != 2 or a.shape != (b.size, c.size):
+        if c.ndim != 1 or b.ndim != 1 or a.ndim != 2 or a.shape != (b.size, c.size):
             raise ValueError(
-                f"inconsistent shapes: A {a.shape}, b ({b.size},), c ({c.size},)"
+                f"inconsistent shapes: A {a.shape}, b {b.shape}, c {c.shape}"
             )
         if b.size > MAX_ROWS or c.size > MAX_COLS:
             raise ValueError(f"problem too large: {b.size} rows, {c.size} columns")

@@ -28,11 +28,10 @@ each one is solved from the restart's last optimal basis, through a few dual
 simplex pivots where the new column leaves it dual but not primal feasible,
 else from the V=0 basis the drivers start from.
 
-Only the V column depends on the phases at all, so every threshold LP is a
-copy of one template LP per shape (statistics, cap, N, n_alice, n_bob) with
-its own V column written in; the quantum point it matches and its phase
-derivatives are built for every settings pair at once
-(``quantum.pair_coincidences``, ``quantum.correlation_matrix``).
+Only the V column depends on the phases at all, so each shape's V=0 LP
+(statistics, cap, N, n_alice, n_bob) is solved once; the quantum point a
+threshold LP matches and its phase derivatives are built for every settings
+pair at once (``quantum.pair_coincidences``, ``quantum.correlation_matrix``).
 """
 
 from __future__ import annotations
@@ -260,8 +259,7 @@ def _visibility_lp(
     return LinearProgram(c, a, b)
 
 
-_LP_TEMPLATES: dict[tuple, LinearProgram] = {}
-_START_BASES: dict[tuple, tuple[int, ...]] = {}
+_START_BASES: dict[tuple, tuple[int, ...] | None] = {}
 
 
 def _solve_threshold_lp(
@@ -269,31 +267,25 @@ def _solve_threshold_lp(
 ):
     """The statistics of config and the solution of their threshold LP.
 
-    Only column k (V) of the LP depends on the phases, so the LP is built
-    once per (statistics, cap, N, n_alice, n_bob) and each call writes its
-    own column k into a copy.  The solve tries the basis ``previous`` first,
-    if given, then a feasible V=0 basis kept per the same key: the LP
-    without column k, and its basis of strategy columns (and the cap slack,
-    if the LP has the cap row), are the same for every config of the shape,
-    whichever comes first.  Only an optimal V=0 solve is kept; after any
-    other the next call tries again.  Raises SolverFailure unless the LP
-    ends optimal, or unbounded without the cap.
+    The solve tries the basis ``previous`` first, if given, then a feasible
+    V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
+    (V) of the LP depends on the phases, so the LP without column k, and its
+    basis of strategy columns (and the cap slack, if the LP has the cap row),
+    are the same for every config of the shape, whichever comes first.  Each
+    shape's V=0 LP is solved once; unless it ends optimal the shape keeps
+    None and has no V=0 start.  Raises SolverFailure unless the LP ends
+    optimal, or unbounded without the cap.
     """
     stats = strategies, _, block, _, matched, offset = statistics(config)
     k = len(strategies)
     key = (statistics, cap, config.dimension, config.n_alice, config.n_bob)
-    template = _LP_TEMPLATES.get(key)
-    if template is None:
-        template = _LP_TEMPLATES[key] = _visibility_lp(block, matched, offset, cap=cap)
-    a = template.constraint_matrix.copy()
-    a[: len(block), k] = -(matched - offset)
-    lp = LinearProgram(template.objective, a, template.rhs)
+    lp = _visibility_lp(block, matched, offset, cap=cap)
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
         fixed = solve(LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs))
-        if fixed.status == "optimal":
-            _START_BASES[key] = tuple(j + (j >= k) for j in fixed.basis)
-    starts = [s for s in (previous, _START_BASES.get(key)) if s is not None]
+        optimal = fixed.status == "optimal"
+        _START_BASES[key] = tuple(j + (j >= k) for j in fixed.basis) if optimal else None
+    starts = [s for s in (previous, _START_BASES[key]) if s is not None]
     solution = solve(lp, starts=starts)
     if solution.status != "optimal" and (cap or solution.status != "unbounded"):
         raise SolverFailure(

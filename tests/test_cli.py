@@ -122,6 +122,20 @@ def test_malformed_json_exits_2_with_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["threshold"], ["probabilities", "--alice", "0", "--bob", "0"]],
+    ids=["threshold", "probabilities"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    # 3 KB that json.load cannot parse without exceeding the recursion limit
+    path = tmp_path / "deep.json"
+    alice = "[" * 1000 + "]" * 1000
+    path.write_text(f'{{"dimension": 3, "alice": {alice}, "bob": []}}', encoding="utf-8")
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["threshold", "--config", "/nonexistent/nowhere.json"]) == 2
 

@@ -111,6 +111,43 @@ def test_rejects_nonfinite_input():
 def test_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         LinearProgram([1.0, 2.0], [[1.0]], [1.0])
+    # a 2-D objective or rhs of the right size
+    with pytest.raises(ValueError, match="^inconsistent shapes"):
+        LinearProgram([[1.0, 2.0]], [[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError, match="^inconsistent shapes"):
+        LinearProgram([1.0, 2.0], [[1.0, 1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        pytest.param(
+            LinearProgram([0.0, 1.0], [[1e9, 1.0], [0.0, 1.0]], [1.0, 0.5]),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="RANK_TOL is relative to the largest singular value, so the row "
+                "reduction drops the row [0, 1] and the solve ends 'infeasible: rhs "
+                "outside the column space of A'",
+            ),
+            id="row-of-norm-1-beside-1e9",
+        ),
+        pytest.param(
+            LinearProgram([1.0, 2.0], [[2e-4, 1e9]], [2e-5]),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="PIVOT_TOL is absolute, so the ratio test finds no entry of "
+                "B^-1 a_j = 2e-13 above it and the solve ends 'unbounded' after 1 pivot",
+            ),
+            id="column-of-2e-4-beside-1e9",
+        ),
+    ],
+)
+def test_badly_scaled_lp_matches_highs(lp):
+    status, value = scipy_value(lp)
+    assert status == 0
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(value, abs=1e-9)
 
 
 def test_iteration_cap_reports_failure(monkeypatch):

@@ -12,7 +12,13 @@ from multiport_bell.quantum import (
     joint_probabilities,
     pair_coincidences,
 )
-from multiport_bell.simplex import LPSolution, SolverFailure, check_certificate, solve
+from multiport_bell.simplex import (
+    LinearProgram,
+    LPSolution,
+    SolverFailure,
+    check_certificate,
+    solve,
+)
 from multiport_bell.strategies import (
     canonicalize,
     distinct_matrices,
@@ -598,10 +604,8 @@ def test_drivers_raise_solver_failure_on_failed_lp(monkeypatch):
         assert str(failure.value) == "threshold LP ended with status failed: forced"
 
 
-def test_failed_start_basis_solve_is_retried(monkeypatch):
+def test_failed_zero_visibility_solve_leaves_no_start(monkeypatch):
     cfg = builtin_config("paper-qutrit")
-    monkeypatch.setattr(threshold, "_START_BASES", {})
-    fresh = correlation_threshold(cfg).lp_iterations
     monkeypatch.setattr(threshold, "_START_BASES", {})
     calls = 0
     original = threshold.solve
@@ -614,7 +618,66 @@ def test_failed_start_basis_solve_is_retried(monkeypatch):
     # call 1 is the V=0 solve that fills the empty cache
     monkeypatch.setattr(threshold, "solve", fails_first)
     assert correlation_threshold(cfg).v_thr == pytest.approx(V_QUTRIT, abs=1e-12)
-    assert correlation_threshold(cfg).lp_iterations == fresh
+    assert threshold._START_BASES == {(threshold._correlation_statistics, True, 3, 2, 2): None}
+    before = calls
+    # the shape's V=0 LP is not solved again, and the LP solves cold
+    second = correlation_threshold(cfg)
+    assert calls == before + 1
+    assert second.lp_iterations == original(correlation_lp(cfg)[0]).iterations
+
+
+def recorded_solves(monkeypatch) -> list:
+    """The LPs that threshold.solve is given from now on, in call order."""
+    lps = []
+    original = threshold.solve
+
+    def recording(lp, *args, **kwargs):
+        lps.append(lp)
+        return original(lp, *args, **kwargs)
+
+    monkeypatch.setattr(threshold, "solve", recording)
+    return lps
+
+
+def lp_bits(lp):
+    return [(x.shape, x.tobytes()) for x in (lp.constraint_matrix, lp.rhs, lp.objective)]
+
+
+def test_every_threshold_lp_is_built_by_visibility_lp(monkeypatch):
+    cfg = random_config(np.random.default_rng(20261019), 3)
+
+    def built(statistics, cap):
+        _, _, block, _, matched, offset = statistics(cfg)
+        return threshold._visibility_lp(block, matched, offset, cap=cap)
+
+    runs = [
+        (lambda: correlation_threshold(cfg), correlation_lp(cfg)[0]),
+        (lambda: probability_threshold(cfg), built(threshold._symmetric_statistics, True)),
+    ] + [
+        # one scan step: the uncapped LP the scan's objective solves
+        (
+            lambda statistics=statistics: threshold._uncapped_visibility(cfg, statistics, None),
+            built(statistics, False),
+        )
+        for statistics in (threshold._correlation_statistics, threshold._symmetric_statistics)
+    ]
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    lps = recorded_solves(monkeypatch)
+    for run, expected in runs:
+        k = int(np.flatnonzero(expected.objective)[0])  # V, the objective's only column
+        zero = LinearProgram(
+            np.zeros(expected.n_cols - 1),
+            np.delete(expected.constraint_matrix, k, axis=1),
+            expected.rhs,
+        )
+        run()
+        # the first LP of a shape also solves its V=0 LP, and only the first
+        assert [lp_bits(lp) for lp in lps] == [lp_bits(zero), lp_bits(expected)]
+        lps.clear()
+        run()
+        assert [lp_bits(lp) for lp in lps] == [lp_bits(expected)]
+        lps.clear()
+    assert len(threshold._START_BASES) == len(runs)
 
 
 def test_scan_records_failed_restart_as_nan(monkeypatch):
