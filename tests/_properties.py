@@ -114,16 +114,16 @@ def assert_dual_certifies(lp: LinearProgram, solution) -> None:
     assert np.max(lp.objective - lp.constraint_matrix.T @ solution.dual) <= 1e-9
 
 
-def record_qr_shapes(monkeypatch) -> list[tuple[int, ...]]:
-    """Record the shape of every matrix that np.linalg.qr factorizes."""
+def record_shapes(monkeypatch, name: str) -> list[tuple[int, ...]]:
+    """Record the shape of every matrix that np.linalg.<name> factorizes."""
     shapes = []
-    qr = np.linalg.qr
+    factorization = getattr(np.linalg, name)
 
     def recorded(matrix, *args, **kwargs):
         shapes.append(matrix.shape)
-        return qr(matrix, *args, **kwargs)
+        return factorization(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", recorded)
+    monkeypatch.setattr(np.linalg, name, recorded)
     return shapes
 
 

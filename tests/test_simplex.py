@@ -18,7 +18,7 @@ from _properties import (
     assert_dual_certifies,
     lp_random_failures,
     random_feasible_lp,
-    record_qr_shapes,
+    record_shapes,
 )
 
 
@@ -116,6 +116,15 @@ def test_rejects_shape_mismatch():
         LinearProgram([[1.0, 2.0]], [[1.0, 1.0]], [1.0])
     with pytest.raises(ValueError, match="^inconsistent shapes"):
         LinearProgram([1.0, 2.0], [[1.0, 1.0]], [[1.0]])
+    # only a 1-D empty A stands for the empty b.size x c.size matrix
+    with pytest.raises(ValueError, match="^inconsistent shapes"):
+        LinearProgram([1.0, 2.0], np.zeros((0, 3)), [])
+    with pytest.raises(ValueError, match="^inconsistent shapes"):
+        LinearProgram([1.0], np.zeros((0, 0, 1)), [])
+    with pytest.raises(ValueError, match="^inconsistent shapes"):
+        LinearProgram([1.0, 2.0, 3.0], np.zeros((2, 0)), [0.0, 0.0])
+    with pytest.raises(ValueError, match="^inconsistent shapes"):
+        LinearProgram([1.0], [], [1.0])
 
 
 @pytest.mark.parametrize(
@@ -303,6 +312,15 @@ def test_factorize_rejects_an_entry_above_1e8_in_the_image_of_a():
     assert factorized([[1.0, 0.0, 2e7], [0.0, 1.0, 0.0]], [1.0, 1.0]) is not None
 
 
+def test_factorize_rejects_an_entry_above_1e8_in_b_inverse_a_from_both_factors():
+    # B^-1 = diag(1e4, 1) passes the check of B^-1 and the condition number,
+    # 1e4; the non-basic column 2e4 e_1 has no entry above 1e8 either, but
+    # B^-1 maps it to 2e8 e_1
+    assert factorized([[1e-4, 0.0, 2e4], [0.0, 1.0, 0.0]], [1.0, 1.0]) is None
+    # the bound |B^-1|_inf max|A_ij| = 2e8 is no verdict: 2e4 e_2 maps to 2e4 e_2
+    assert factorized([[1e-4, 0.0, 0.0], [0.0, 1.0, 2e4]], [1.0, 1.0]) is not None
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
 def test_factorize_rejects_a_non_finite_entry_in_a_non_basic_column(entry):
     # the single comparison with 1e8 is false for a NaN as for an infinity
@@ -454,9 +472,10 @@ def rank_deficient_matrix():
 )
 def test_wide_row_space_through_qr_matches_svd(monkeypatch, matrix, rank):
     a = matrix()
-    shapes = record_qr_shapes(monkeypatch)
+    eighs, svds = record_shapes(monkeypatch, "eigh"), record_shapes(monkeypatch, "svd")
     u, reduced, _ = simplex._row_space(a, a @ np.ones(a.shape[1]))
-    assert shapes == [a.T.shape]
+    # the certificate accepts the eigenvectors of A A^T, so no SVD runs
+    assert (eighs, svds) == ([(a.shape[0],) * 2], [])
     singular = np.linalg.svd(a, compute_uv=False)
     kept = singular > simplex.RANK_TOL * singular[0]
     assert u.shape == (a.shape[0], rank) and kept.sum() == rank
@@ -468,22 +487,74 @@ def test_wide_row_space_through_qr_matches_svd(monkeypatch, matrix, rank):
     assert np.abs(u @ u.T - v @ v.T).max() <= 1e-12
 
 
+def matrix_with_singular_values(singular, columns, seed):
+    """A len(singular) x ``columns`` matrix with the given singular values."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.normal(size=(len(singular),) * 2))[0]
+    right = np.linalg.qr(rng.normal(size=(columns, len(singular))))[0]
+    return (left * singular) @ right.T
+
+
+@pytest.mark.parametrize(
+    "tail, kept, through_svd",
+    [
+        # the SVD keeps sigma > RANK_TOL sigma_max, the eigenvectors only
+        # lambda > 1e-12 lambda_max (sigma > 1e-6 sigma_max), so the certificate
+        # has to refuse them
+        pytest.param(1e-8, 13, True, id="1e-8"),
+        pytest.param(3e-7, 13, True, id="3e-7"),
+        # dropped by both, within what the certificate accepts
+        pytest.param(1e-11, 12, False, id="1e-11"),
+    ],
+)
+def test_wide_row_space_certificate_falls_back_to_the_svd(monkeypatch, tail, kept, through_svd):
+    singular = np.concatenate([np.logspace(0.0, -3.0, 12), [tail], np.zeros(11)])
+    a = matrix_with_singular_values(singular, 60, seed=20261202)
+    eighs, svds = record_shapes(monkeypatch, "eigh"), record_shapes(monkeypatch, "svd")
+    u, reduced, _ = simplex._row_space(a, a @ np.ones(a.shape[1]))
+    assert eighs == [(24, 24)]
+    assert svds == ([a.shape] if through_svd else [])
+    assert u.shape == (24, kept)
+    reference = np.linalg.svd(a, full_matrices=False)[0][:, :kept]
+    assert np.abs(u @ u.T - reference @ reference.T).max() <= 1e-9
+    assert np.abs(reduced - u.T @ a).max() <= 1e-15
+
+
+def test_certify_lps_at_n5_take_the_eigen_path(monkeypatch):
+    # the solve of the 102 x 627 probability LP and the pinned 103 x 627 probes
+    # just below and above its optimum, all cold
+    eighs, svds = record_shapes(monkeypatch, "eigh"), record_shapes(monkeypatch, "svd")
+    for seed in (20261210, 20261211):
+        phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, (4, 5))
+        cfg = ExperimentConfig(5, tuple(map(tuple, phases[:2])), tuple(map(tuple, phases[2:])))
+        lp = probability_lp(cfg)[0]
+        sol = solve(lp)
+        assert sol.status == "optimal" and check_certificate(lp, sol).passed
+        v_thr = sol.x[-2]
+        assert solve(probability_lp(cfg, v_thr - 1e-4)[0]).status == "optimal"
+        assert solve(probability_lp(cfg, v_thr + 1e-4)[0]).status == "infeasible"
+    assert eighs == [(102, 102), (103, 103), (103, 103)] * 2
+    assert svds == []
+
+
 def test_wide_lp_with_rhs_outside_column_space_is_infeasible(monkeypatch):
     a = rank_deficient_matrix()
     b = a @ np.ones(a.shape[1])
     b[0] += 1.0
-    shapes = record_qr_shapes(monkeypatch)
+    eighs, svds = record_shapes(monkeypatch, "eigh"), record_shapes(monkeypatch, "svd")
     sol = solve(LinearProgram(np.zeros(a.shape[1]), a, b))
-    assert shapes == [a.T.shape]
+    assert (eighs, svds) == ([(24, 24)], [])
     assert sol.status == "infeasible"
     assert sol.detail == "rhs outside the column space of A"
 
 
 def test_ten_row_lps_never_factorize_by_qr(monkeypatch):
     def refused(*args, **kwargs):
-        raise AssertionError("np.linalg.qr called")
+        raise AssertionError("np.linalg.qr or np.linalg.eigh called")
 
+    # _row_space takes the eigen path from 16 rows on, and nothing factorizes by QR
     monkeypatch.setattr(np.linalg, "qr", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
     # an empty cache makes the drivers solve their V=0 LPs too
     monkeypatch.setattr(threshold, "_START_BASES", {})
     cfg = builtin_config("paper-qutrit")
