@@ -117,10 +117,9 @@ class CertificateReport:
 def _pivot(
     inverse: np.ndarray, basis: np.ndarray, column: np.ndarray, row: int, col: int
 ) -> None:
-    """Enter ``col``, whose basis-inverse image is ``column``, on ``row``:
-    one rank-1 update of [B^-1 | x_B]."""
+    """Enter ``col``, whose basis-inverse image is ``column`` (overwritten),
+    on ``row``: one rank-1 update of [B^-1 | x_B]."""
     inverse[row] *= 1.0 / column[row]
-    column = column.copy()
     column[row] = 0.0
     inverse -= column[:, None] * inverse[row]
     basis[row] = col
@@ -159,8 +158,9 @@ def _optimize(
     a: np.ndarray, costs: np.ndarray, inverse: np.ndarray, basis: np.ndarray, budget: int
 ) -> tuple[str, int]:
     """Run simplex iterations until optimality, unboundedness, ``budget``
-    pivots ("cap") or another ``stall_limit`` pivots without a gain once
-    Bland's rule engaged ("stalled"); returns the verdict and the pivots made.
+    pivots or another ``stall_limit`` pivots without a gain once Bland's rule
+    engaged; returns the verdict ("optimal", "unbounded", "iteration cap ...
+    hit" or "stalled under Bland's rule") and the pivots made.
 
     ``inverse`` is [B^-1 | x_B]: the basis inverse and the basic values.
     Only the structural columns of ``a`` may enter; ``costs`` also prices the
@@ -178,28 +178,22 @@ def _optimize(
     bland = False
     while True:
         reduced = costs[:n] - costs[basis] @ binv @ a
-        if bland:
-            positive = np.nonzero(reduced > PIVOT_TOL)[0]
-            if positive.size == 0:
-                return "optimal", pivots
-            col = int(positive[0])
-        else:
-            col = int(reduced.argmax())
-            if reduced[col] <= PIVOT_TOL:
-                return "optimal", pivots
+        # Bland's rule enters the lowest improving column
+        col = int((reduced > PIVOT_TOL).argmax() if bland else reduced.argmax())
+        if reduced[col] <= PIVOT_TOL:
+            return "optimal", pivots
         column = binv @ a[:, col]
-        eligible = column > PIVOT_TOL
-        if not eligible.any():
+        eligible = np.flatnonzero(column > PIVOT_TOL)
+        if eligible.size == 0:
             return "unbounded", pivots
         if pivots >= budget:
-            return "cap", pivots
+            return f"iteration cap {ITERATION_CAP} hit", pivots
         # roundoff can leave tiny negative basic values; clamping them for the
         # ratio test keeps degenerate rows tied at zero, where the tie-break
         # below can choose a well-scaled pivot element
-        ratios = np.full(m, np.inf)
-        np.divide(np.maximum(values, 0.0), column, out=ratios, where=eligible)
+        ratios = np.maximum(values[eligible], 0.0) / column[eligible]
         least = ratios.min()
-        ties = np.nonzero(ratios <= least + 1e-12 * max(1.0, least))[0]
+        ties = eligible[ratios <= least + 1e-12 * max(1.0, least)]
         if bland:
             # lowest leaving index, required for anti-cycling
             row = int(ties[basis[ties].argmin()])
@@ -216,7 +210,7 @@ def _optimize(
         else:
             stalled += 1
             if stalled > 2 * stall_limit:
-                return "stalled", pivots
+                return "stalled under Bland's rule", pivots
             if stalled > stall_limit:
                 bland = True
 
@@ -235,20 +229,19 @@ def _dual_optimize(
     |d_j / alpha_rj| enters (ties: the largest |alpha_rj|), which keeps every
     reduced cost d_j at most zero.
     """
-    m, n = a.shape
+    m = a.shape[0]
     binv, values = inverse[:, :m], inverse[:, m]
     pivots = 0
     while values.min(initial=0.0) < -CERTIFICATE_VARIABLE_TOL:
         reduced = c - c[basis] @ binv @ a
         row = int(values.argmin())
         alpha = binv[row] @ a
-        eligible = alpha < -PIVOT_TOL
-        if (pivots == 0 and reduced.max() > PIVOT_TOL) or pivots == m or not eligible.any():
+        eligible = np.flatnonzero(alpha < -PIVOT_TOL)
+        if (pivots == 0 and reduced.max() > PIVOT_TOL) or pivots == m or eligible.size == 0:
             return None
-        ratios = np.full(n, np.inf)
-        np.divide(np.abs(reduced), -alpha, out=ratios, where=eligible)
+        ratios = np.abs(reduced[eligible]) / -alpha[eligible]
         least = ratios.min()
-        ties = np.nonzero(ratios <= least + 1e-12 * max(1.0, least))[0]
+        ties = eligible[ratios <= least + 1e-12 * max(1.0, least)]
         col = int(ties[alpha[ties].argmin()])
         _pivot(inverse, basis, binv @ a[:, col], row, col)
         pivots += 1
@@ -411,10 +404,8 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         a = data[:, :n]
         status, pivots = _optimize(a, costs, inverse, basis, ITERATION_CAP - iterations)
         iterations += pivots
-        if status == "cap":
-            return f"iteration cap {ITERATION_CAP} hit"
-        if status == "stalled":
-            return "stalled under Bland's rule"
+        if status not in ("optimal", "unbounded"):
+            return status
         # without a pivot since the last factorization, a second one would
         # rebuild the same inverse from the same basis
         unchanged = not pivots and factorized

@@ -322,7 +322,7 @@ def _threshold(
         config.dimension,
         v,
         1.0 - v,
-        {s: max(float(w), 0.0) for s, w in zip(strategies, weights)},
+        dict(zip(strategies, np.where(weights < 0.0, 0.0, weights).tolist())),
         residual,
         solution.iterations,
     )

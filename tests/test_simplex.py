@@ -466,11 +466,11 @@ def rank_deficient_matrix():
         pytest.param(lambda: full_probability_lp(3).constraint_matrix, 26, id="38x83"),
         pytest.param(lambda: full_probability_lp(4).constraint_matrix, 50, id="66x258"),
         pytest.param(lambda: full_probability_lp(5).constraint_matrix, 82, id="102x627"),
-        pytest.param(lambda: full_probability_lp(5, 0.5).constraint_matrix, 83, id="103x628"),
+        pytest.param(lambda: full_probability_lp(5, 0.5).constraint_matrix, 83, id="103x627"),
         pytest.param(rank_deficient_matrix, 15, id="random-24x60"),
     ],
 )
-def test_wide_row_space_through_qr_matches_svd(monkeypatch, matrix, rank):
+def test_wide_row_space_through_eigh_matches_svd(monkeypatch, matrix, rank):
     a = matrix()
     eighs, svds = record_shapes(monkeypatch, "eigh"), record_shapes(monkeypatch, "svd")
     u, reduced, _ = simplex._row_space(a, a @ np.ones(a.shape[1]))

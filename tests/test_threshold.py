@@ -230,6 +230,32 @@ def test_qutrit_probability_equals_correlation():
     assert max(gaps) > 1e-3
 
 
+def test_weights_clamp_the_lp_solution_like_python_max(monkeypatch):
+    # negative roundoff becomes 0.0 and a -0.0 stays -0.0, as max(w, 0.0) gives
+    solved = []
+    original = threshold._solve_threshold_lp
+
+    def perturbed(*args, **kwargs):
+        stats, solution = original(*args, **kwargs)
+        solution.x[:3] = (-0.0, -1e-12, 0.0)
+        solved.append((stats[0], solution.x.copy()))
+        return stats, solution
+
+    monkeypatch.setattr(threshold, "_solve_threshold_lp", perturbed)
+    cfg = builtin_config("paper-qutrit")
+    for method in (correlation_threshold, probability_threshold):
+        weights = method(cfg).weights
+        strategies, x = solved[-1]
+        x = x[: len(strategies)]
+        if method is probability_threshold:
+            strategies, members = threshold._strategy_data(cfg.dimension, cfg.n_alice, cfg.n_bob)
+            x = x[members] / cfg.dimension
+        expected = {s: max(float(w), 0.0) for s, w in zip(strategies, x)}
+        assert list(weights) == list(expected)
+        assert list(map(repr, weights.values())) == list(map(repr, expected.values()))
+        assert repr(next(iter(weights.values()))) == "-0.0"
+
+
 def test_probability_weights_cover_every_strategy_uniformly_per_orbit():
     rng = np.random.default_rng(20261021)
     # the first seeded N=4 config that violates local realism, so the tables are mixed
@@ -564,6 +590,26 @@ def test_scan_probes_build_no_derivatives(monkeypatch):
     assert calls["solve"] > 0
     # one call builds the derivatives of every settings pair
     assert calls["pure_coincidence_derivatives"] < calls["solve"] / 2
+
+
+def test_scan_keeps_the_start_where_every_uncapped_lp_is_unbounded(monkeypatch):
+    # V* = inf everywhere: the sweep finds no gain, the gradient is zero
+    # without any phase derivatives, and each restart ends at its start
+    def unbounded(config, statistics, previous):
+        return math.inf, np.zeros(len(statistics(config)[2])), None
+
+    def no_derivatives(config):
+        raise AssertionError("derivatives built for an unbounded LP")
+
+    monkeypatch.setattr(threshold, "_uncapped_visibility", unbounded)
+    monkeypatch.setattr(threshold, "_symmetric_derivatives", no_derivatives)
+    result = scan(3, 2, 0, "prob")
+    vectors = [np.random.default_rng([0, index]).uniform(0.0, 2.0 * math.pi, 8) for index in (0, 1)]
+    starts = [threshold._vector_config(3, vector) for vector in vectors]
+    assert result.best_config == starts[0]
+    assert result.history == tuple(
+        (index, probability_threshold(start).f_thr) for index, start in enumerate(starts)
+    )
 
 
 def test_scan_solves_often_start_optimal(monkeypatch):
