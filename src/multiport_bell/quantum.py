@@ -12,8 +12,11 @@ Noise enters only as the fraction F of the totally chaotic (uniform) state
 mixed into the pure pair; it rescales every correlation value by 1 - F and
 pulls every joint probability towards 1/N**2.
 
-Both quantum points are built for every settings pair at once, row
-i*n_bob + j for (i, j); the per-pair functions check indices and read one.
+Both quantum points and their phase derivatives are built for every
+settings pair at once, row i*n_bob + j for (i, j), by the array-level
+``*_at`` functions, which take the settings as phase arrays
+(``settings_arrays``).  The config-level functions read them at a config's
+settings, and the per-pair ones check indices and read one entry.
 All operations are pure and deterministic; returned arrays are fresh.
 """
 
@@ -115,32 +118,72 @@ def _fourier_phases(dimension: int) -> np.ndarray:
     return phases
 
 
-def _pair_terms(config: ExperimentConfig) -> np.ndarray:
+def settings_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's settings as (n_alice, N) and (n_bob, N) phase arrays,
+    the input of the array-level functions below."""
+    return np.array(config.alice_settings), np.array(config.bob_settings)
+
+
+def _pair_terms(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """exp(i*(phi_m + theta_m)) of every settings pair, row i*n_bob + j."""
-    alice = np.array(config.alice_settings)
-    bob = np.array(config.bob_settings)
-    return np.exp(1j * (alice[:, None, :] + bob[None, :, :]).reshape(-1, config.dimension))
+    return np.exp(1j * (alice[:, None, :] + bob[None, :, :]).reshape(-1, alice.shape[1]))
 
 
-def pair_coincidences(config: ExperimentConfig) -> np.ndarray:
+def coincidences_at(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Noiseless coincidence probability by outcome sum for every settings pair.
 
     Entry (i*n_bob + j, s) is P(a, b) at settings (i, j) for every
     a + b = s mod N (the Born rule)
     |sum_m gamma**(m*s) * exp(i*(phi_m + theta_m))|**2 / N**3.
     """
-    local = _pair_terms(config)
-    amplitudes = _fourier_phases(config.dimension)[None] @ local[:, :, None]
-    return np.abs(amplitudes[:, :, 0]) ** 2 / config.dimension**3
+    n = alice.shape[1]
+    amplitudes = _fourier_phases(n)[None] @ _pair_terms(alice, bob)[:, :, None]
+    return np.abs(amplitudes[:, :, 0]) ** 2 / n**3
+
+
+def coincidence_derivatives_at(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Entry (p, s, m) is the derivative of ``coincidences_at`` entry (p, s)
+    by port m's phase of either setting of pair p; only phi_m + theta_m
+    enters."""
+    n = alice.shape[1]
+    terms = _fourier_phases(n)[None] * _pair_terms(alice, bob)[:, None, :]
+    amplitudes = terms.sum(axis=2)
+    return -2.0 * np.imag(amplitudes.conj()[:, :, None] * terms) / n**3
+
+
+def _cyclic_terms(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """exp(i*delta_m) of every settings pair, row i*n_bob + j, where
+    delta_m = phi_m - phi_{m+1} + theta_m - theta_{m+1} with indices mod N."""
+    n = alice.shape[1]
+    phi, theta = alice[:, None, :], bob[None, :, :]
+    following = (np.arange(n) + 1) % n
+    delta = (phi - phi[..., following]) + (theta - theta[..., following])
+    return np.exp(1j * delta.reshape(-1, n))
+
+
+def correlations_at(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Noiseless complex correlation of every settings pair, entry i*n_bob + j:
+    the closed form of sum_{a,b} gamma**(a+b) P(a, b), the cyclic phase sum
+    1/N * sum_m exp(i*delta_m) of ``_cyclic_terms``."""
+    return _cyclic_terms(alice, bob).sum(axis=1) / alice.shape[1]
+
+
+def correlation_derivatives_at(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Entry (p, m) is the derivative of ``correlations_at`` entry p by port
+    m's phase of either setting: i/N * (exp(i*delta_m) - exp(i*delta_{m-1}))."""
+    n = alice.shape[1]
+    terms = _cyclic_terms(alice, bob)
+    return 1j * (terms - terms[:, np.arange(n) - 1]) / n
+
+
+def pair_coincidences(config: ExperimentConfig) -> np.ndarray:
+    """``coincidences_at`` the settings of config, (pairs, N)."""
+    return coincidences_at(*settings_arrays(config))
 
 
 def pure_coincidence_derivatives(config: ExperimentConfig) -> np.ndarray:
-    """Entry (p, s, m) is the derivative of ``pair_coincidences`` entry
-    (p, s) by port m's phase of either setting of pair p; only
-    phi_m + theta_m enters."""
-    terms = _fourier_phases(config.dimension)[None] * _pair_terms(config)[:, None, :]
-    amplitudes = terms.sum(axis=2)
-    return -2.0 * np.imag(amplitudes.conj()[:, :, None] * terms) / config.dimension**3
+    """``coincidence_derivatives_at`` the settings of config, (pairs, N, N)."""
+    return coincidence_derivatives_at(*settings_arrays(config))
 
 
 def joint_probabilities(
@@ -161,24 +204,11 @@ def joint_probabilities(
     return np.maximum(table, 0.0)
 
 
-def _cyclic_terms(config: ExperimentConfig) -> np.ndarray:
-    """exp(i*delta_m) of every settings pair, row i*n_bob + j, where
-    delta_m = phi_m - phi_{m+1} + theta_m - theta_{m+1} with indices mod N."""
-    phi = np.array(config.alice_settings)[:, None, :]
-    theta = np.array(config.bob_settings)[None, :, :]
-    following = (np.arange(config.dimension) + 1) % config.dimension
-    delta = (phi - phi[..., following]) + (theta - theta[..., following])
-    return np.exp(1j * delta.reshape(-1, config.dimension))
-
-
 def correlation_matrix(config: ExperimentConfig, noise: float = 0.0) -> np.ndarray:
-    """Complex correlation of every settings pair as an n_alice x n_bob matrix.
-
-    Entry (i, j) is the closed form of sum_{a,b} gamma**(a+b) P(a, b): the
-    cyclic phase sum (1 - F)/N * sum_m exp(i*delta_m) of ``_cyclic_terms``.
-    """
+    """Complex correlation of every settings pair as an n_alice x n_bob matrix:
+    ``correlations_at`` the settings of config, scaled by 1 - noise."""
     _require_noise(noise)
-    values = (1.0 - noise) * (_cyclic_terms(config).sum(axis=1) / config.dimension)
+    values = (1.0 - noise) * correlations_at(*settings_arrays(config))
     return values.reshape(config.n_alice, config.n_bob)
 
 
@@ -191,7 +221,5 @@ def correlation_value(
 
 
 def correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
-    """Entry (p, m) is the derivative of pair p's noiseless correlation value
-    by port m's phase of either setting: i/N * (exp(i*delta_m) - exp(i*delta_{m-1}))."""
-    terms = _cyclic_terms(config)
-    return 1j * (terms - terms[:, np.arange(config.dimension) - 1]) / config.dimension
+    """``correlation_derivatives_at`` the settings of config, (pairs, N)."""
+    return correlation_derivatives_at(*settings_arrays(config))

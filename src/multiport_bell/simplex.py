@@ -79,7 +79,7 @@ class LinearProgram:
         if b.size > MAX_ROWS or c.size > MAX_COLS:
             raise ValueError(f"problem too large: {b.size} rows, {c.size} columns")
         for name, arr in (("objective", c), ("constraint_matrix", a), ("rhs", b)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
         self.objective, self.constraint_matrix, self.rhs = c, a, b
@@ -125,29 +125,31 @@ def _pivot(
     basis[row] = col
 
 
-def _factorize(data: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+def _factorize(data: np.ndarray, basis: np.ndarray, a_max: float) -> np.ndarray | None:
     """[B^-1 | x_B] of the ``basis`` columns of ``data`` = [A | I | b],
-    solved against [I | b] only.
+    solved against [I | b] only; ``a_max`` is max|A_ij|.
 
     Returns None when the basis is ill-conditioned (an entry of B^-1,
     x_B or B^-1 A above 1e8, or a condition number above 1e12), so the
     answer from a meaningless inverse can never be accepted.
     """
     m = data.shape[0]
-    matrix = data[:, basis]
+    matrix = data.take(basis, axis=1)
     try:
         inverse = np.linalg.solve(matrix, data[:, -m - 1 :])
     except np.linalg.LinAlgError:
         return None
+    magnitudes = np.abs(inverse)
     # each comparison is also false for a NaN or an infinity
-    if not np.abs(inverse).max(initial=0.0) <= 1e8:
+    if not magnitudes.max(initial=0.0) <= 1e8:
         return None
     # |B^-1|_inf max|A_ij| bounds every entry of B^-1 A, which is formed only
     # when that bound leaves the check open
-    a = data[:, : -m - 1]
-    inverse_norm = float(np.abs(inverse[:, :m]).sum(axis=1).max(initial=0.0))
-    bound = inverse_norm * float(np.abs(a).max(initial=0.0))
-    if not bound <= 5e7 and not np.abs(inverse[:, :m] @ a).max(initial=0.0) <= 1e8:
+    inverse_norm = float(magnitudes[:, :m].sum(axis=1).max(initial=0.0))
+    if (
+        not inverse_norm * a_max <= 5e7
+        and not np.abs(inverse[:, :m] @ data[:, : -m - 1]).max(initial=0.0) <= 1e8
+    ):
         return None
     # the infinity-norm condition number, without extra factorizations
     cond = float(np.abs(matrix).sum(axis=1).max(initial=0.0) * inverse_norm)
@@ -170,29 +172,33 @@ def _optimize(
     if n == 0:
         return "optimal", 0
     binv, values = inverse[:, :m], inverse[:, m]
+    structural = costs[:n]
     stall_limit = 5 * (m + n)
-    objective = float(costs[basis] @ values)
     best_objective = -math.inf
     pivots = 0
     stalled = 0
     bland = False
     while True:
-        reduced = costs[:n] - costs[basis] @ binv @ a
+        reduced = structural - costs[basis] @ binv @ a
         # Bland's rule enters the lowest improving column
         col = int((reduced > PIVOT_TOL).argmax() if bland else reduced.argmax())
-        if reduced[col] <= PIVOT_TOL:
+        gain = reduced.item(col)
+        if gain <= PIVOT_TOL:
             return "optimal", pivots
         column = binv @ a[:, col]
-        eligible = np.flatnonzero(column > PIVOT_TOL)
+        eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return "unbounded", pivots
         if pivots >= budget:
             return f"iteration cap {ITERATION_CAP} hit", pivots
+        if not pivots:
+            # the objective the stall test follows, from the first pivot on
+            objective = float(costs[basis] @ values)
         # roundoff can leave tiny negative basic values; clamping them for the
         # ratio test keeps degenerate rows tied at zero, where the tie-break
         # below can choose a well-scaled pivot element
         ratios = np.maximum(values[eligible], 0.0) / column[eligible]
-        least = ratios.min()
+        least = ratios.min().item()
         ties = eligible[ratios <= least + 1e-12 * max(1.0, least)]
         if bland:
             # lowest leaving index, required for anti-cycling
@@ -203,7 +209,7 @@ def _optimize(
         _pivot(inverse, basis, column, row, col)
         pivots += 1
         # the entering variable's new value times its reduced cost
-        objective += float(reduced[col] * values[row])
+        objective += gain * values.item(row)
         if objective > best_objective + 1e-12:
             best_objective = objective
             stalled = 0
@@ -236,11 +242,11 @@ def _dual_optimize(
         reduced = c - c[basis] @ binv @ a
         row = int(values.argmin())
         alpha = binv[row] @ a
-        eligible = np.flatnonzero(alpha < -PIVOT_TOL)
+        eligible = (alpha < -PIVOT_TOL).nonzero()[0]
         if (pivots == 0 and reduced.max() > PIVOT_TOL) or pivots == m or eligible.size == 0:
             return None
         ratios = np.abs(reduced[eligible]) / -alpha[eligible]
-        least = ratios.min()
+        least = ratios.min().item()
         ties = eligible[ratios <= least + 1e-12 * max(1.0, least)]
         col = int(ties[alpha[ties].argmin()])
         _pivot(inverse, basis, binv @ a[:, col], row, col)
@@ -249,17 +255,16 @@ def _dual_optimize(
 
 
 def _accepted_start(
-    data: np.ndarray, starts: list[np.ndarray], c: np.ndarray
+    data: np.ndarray, a_max: float, starts: list[np.ndarray], c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
     """[B^-1 | x_B], the basis and the dual simplex pivots of the first of
     ``starts`` that has one column per row of ``data`` = [A | I | b], passes
-    ``_factorize`` and is primal feasible as it is or after ``_dual_optimize``;
-    None if no start is."""
+    ``_factorize`` and is primal feasible as it is or after ``_dual_optimize``
+    (which pivots the start in place); None if no start is."""
     m = data.shape[0]
-    for start in starts:
-        inverse = _factorize(data, start) if start.size == m else None
+    for basis in starts:
+        inverse = _factorize(data, basis, a_max) if basis.size == m else None
         if inverse is not None:
-            basis = start.copy()
             pivots = _dual_optimize(data[:, : c.size], c, inverse, basis)
             if pivots is not None:
                 return inverse, basis, pivots
@@ -342,7 +347,17 @@ def _reflected(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         v *= math.sqrt(2.0 / (v[0] ** 2 + tail))
         a = a - np.outer(v, v @ a)
     rhs[:1] = norm
-    return np.column_stack([a, np.eye(b.size), rhs])
+    return _augmented(a, rhs)
+
+
+def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A | I | b]."""
+    m, n = a.shape
+    data = np.zeros((m, n + m + 1))
+    data[:, :n] = a
+    data[:, n:-1].flat[:: m + 1] = 1.0
+    data[:, -1] = b
+    return data
 
 
 def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolution:
@@ -381,25 +396,31 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     b0 = lp.rhs
     n = c.size
     iterations = 0
-    starts = [[operator.index(j) for j in start] for start in starts]
+    checked = []
     for start in starts:
-        if len(set(start)) != len(start) or not all(0 <= j < n for j in start):
+        columns = list(map(operator.index, start))
+        if (
+            len(set(columns)) != len(columns)
+            or min(columns, default=0) < 0
+            or max(columns, default=-1) >= n
+        ):
             raise ValueError(f"a start must name distinct columns in 0..{n - 1}")
-    starts = [np.array(start, dtype=int) for start in starts]
+        checked.append(np.array(columns, dtype=int))
 
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, iterations, detail)
 
-    # [A | I | b] on the original rows; the reduced rows replace them only
-    # when no start is accepted
-    data = np.column_stack([a0, np.eye(b0.size), b0])
+    # [A | I | b] on the original rows and max|A_ij|; the reduced rows
+    # replace them only when no start is accepted
+    data = _augmented(a0, b0)
+    a_max = float(np.abs(a0).max(initial=0.0))
     m = b0.size
     u = None  # U of the reduced rows, when phase 2 runs on them
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
 
-    def optimize_verified(costs: np.ndarray, data: np.ndarray) -> str:
-        """Optimize over ``data`` = [A | I | b], then check the verdict once
-        against refactorized data."""
+    def optimize_verified(costs: np.ndarray, data: np.ndarray, a_max: float) -> str:
+        """Optimize over ``data`` = [A | I | b], with max|A_ij| ``a_max``,
+        then check the verdict once against refactorized data."""
         nonlocal inverse, factorized, iterations
         a = data[:, :n]
         status, pivots = _optimize(a, costs, inverse, basis, ITERATION_CAP - iterations)
@@ -410,7 +431,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         # rebuild the same inverse from the same basis
         unchanged = not pivots and factorized
         if not unchanged:
-            inverse = _factorize(data, basis)
+            inverse = _factorize(data, basis, a_max)
             if inverse is None:
                 return "ill-conditioned basis on refactorization"
             factorized = True
@@ -421,10 +442,10 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         # inverse _optimize has just priced every column as below
         if status == "unbounded" or unchanged:
             return status
-        improving = np.any(costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL)
+        improving = (costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL).any()
         return "dual infeasible on refactorization" if improving else "optimal"
 
-    accepted = _accepted_start(data, starts, c)
+    accepted = _accepted_start(data, a_max, checked, c)
     # whether ``inverse`` was factorized from ``basis`` with no pivot since.
     # Dual simplex pivots and phase 1 start it False, so that their basis is
     # refactorized even after no primal pivot; for phase 1 that is the only
@@ -443,7 +464,8 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         if b.size == b0.size:
             u = None  # full row rank: phase 2 stays on the original rows
         else:
-            data = np.column_stack([a, np.eye(b.size), b])
+            data = _augmented(a, b)
+            a_max = float(np.abs(a).max(initial=0.0))
             m = b.size
         # phase 1 runs on the rows reflected so that b = |b| e_1: it starts
         # with a single artificial above zero
@@ -451,7 +473,11 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         basis = np.arange(n, n + m)
         inverse = reflected[:, n:].copy()
         factorized = False
-        status = optimize_verified(np.concatenate([np.zeros(n), -np.ones(m)]), reflected)
+        status = optimize_verified(
+            np.concatenate([np.zeros(n), -np.ones(m)]),
+            reflected,
+            float(np.abs(reflected[:, :n]).max(initial=0.0)),
+        )
         if status != "optimal":
             return unsolved("failed", f"phase 1 {status}")
         binv, values = inverse[:, :m], inverse[:, m]
@@ -469,12 +495,12 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
             iterations += 1
         # phase 2 starts from the same basis factorized on the unreflected
         # rows: the original ones when A has full row rank
-        inverse = _factorize(data, basis)
+        inverse = _factorize(data, basis, a_max)
         if inverse is None:
             return unsolved("failed", "phase 1 ill-conditioned basis on refactorization")
 
-    costs = np.concatenate([c, np.zeros(m)])
-    status = optimize_verified(costs, data)
+    # only structural columns are basic now, so c prices every basis
+    status = optimize_verified(c, data, a_max)
     if status == "unbounded":
         # a ray d along each improving column j, d_j = 1 and d_B = -B^-1 a_j,
         # scaled to |d|_inf = 1 (a ray has no scale of its own) and checked
@@ -496,7 +522,6 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     if status != "optimal":
         return unsolved("failed", f"phase 2 {status}")
 
-    # only structural columns are basic now
     x = np.zeros(n)
     x[basis] = inverse[:, m]
     residual = float(np.abs(a0 @ x - b0).max(initial=0.0))
@@ -504,7 +529,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         return unsolved("failed", "negative variable")
     if residual > CERTIFICATE_RESIDUAL_TOL:
         return unsolved("failed", f"residual {residual:.3e}")
-    dual = costs[basis] @ inverse[:, :m]
+    dual = c[basis] @ inverse[:, :m]
     if u is not None:
         dual = u @ dual
     return LPSolution(

@@ -29,9 +29,12 @@ simplex pivots where the new column leaves it dual but not primal feasible,
 else from the V=0 basis the drivers start from.
 
 Only the V column depends on the phases at all, so each shape's V=0 LP
-(statistics, cap, N, n_alice, n_bob) is solved once; the quantum point a
+(statistics, cap, N, n_alice, n_bob) is solved once.  The quantum point a
 threshold LP matches and its phase derivatives are built for every settings
-pair at once (``quantum.pair_coincidences``, ``quantum.correlation_matrix``).
+pair at once by quantum's array-level functions (``coincidences_at``,
+``correlations_at`` and their derivatives), from the settings as phase
+arrays: a scan probe goes from its phase vector to them directly, and the
+scan builds a config only for each restart's capped threshold and its result.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ import numpy as np
 
 from .quantum import (
     ExperimentConfig,
-    correlation_derivatives,
-    correlation_matrix,
+    coincidence_derivatives_at,
+    coincidences_at,
+    correlation_derivatives_at,
+    correlations_at,
     joint_probabilities,
-    pair_coincidences,
-    pure_coincidence_derivatives,
+    settings_arrays,
 )
+from .quantum import correlation_matrix  # noqa: F401  perfbench traces it under this name
 from .simplex import LinearProgram, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
@@ -203,25 +208,27 @@ def _settings_pairs(n_alice: int, n_bob: int) -> tuple[tuple[tuple[int, int], ..
     return pairs, _frozen(uses)
 
 
-# Each statistics(config) gives the strategies, their table (one column per
+# Each statistics(alice, bob) gives, for settings given as phase arrays
+# (``quantum.settings_arrays``), the strategies, their table (one column per
 # strategy), the LP block, the quantum point the table matches, the part of
 # it the block rows match and the offset.
 
 
-def _correlation_statistics(config: ExperimentConfig):
+def _correlation_statistics(alice: np.ndarray, bob: np.ndarray):
     """Correlation matching: the strategy values against the noiseless
-    correlation matrix, offset 0; the block matches its ``_real_rows``."""
-    data = _correlation_data(config.dimension, config.n_alice, config.n_bob)
-    point = correlation_matrix(config).reshape(-1)
-    return (*data, point, _real_rows(point, config.dimension), 0.0)
+    correlations, offset 0; the block matches their ``_real_rows``."""
+    n = alice.shape[1]
+    data = _correlation_data(n, len(alice), len(bob))
+    point = correlations_at(alice, bob)
+    return (*data, point, _real_rows(point, n), 0.0)
 
 
-def _symmetric_statistics(config: ExperimentConfig):
+def _symmetric_statistics(alice: np.ndarray, bob: np.ndarray):
     """Probability matching over shift orbits: the exponent indicators against
     N*P0(0, s) = N*P0(a, b) for every a + b = s mod N, offset 1/N."""
-    data = _symmetric_data(config.dimension, config.n_alice, config.n_bob)
-    n = config.dimension
-    point = n * pair_coincidences(config)
+    n = alice.shape[1]
+    data = _symmetric_data(n, len(alice), len(bob))
+    point = n * coincidences_at(alice, bob)
     return (*data, point.reshape(-1), point[:, :-1].reshape(-1), 1.0 / n)
 
 
@@ -263,9 +270,13 @@ _START_BASES: dict[tuple, tuple[int, ...] | None] = {}
 
 
 def _solve_threshold_lp(
-    config: ExperimentConfig, statistics, cap: bool, previous: tuple[int, ...] | None = None
+    statistics,
+    alice: np.ndarray,
+    bob: np.ndarray,
+    cap: bool,
+    previous: tuple[int, ...] | None = None,
 ):
-    """The statistics of config and the solution of their threshold LP.
+    """The statistics of the settings and the solution of their threshold LP.
 
     The solve tries the basis ``previous`` first, if given, then a feasible
     V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
@@ -276,9 +287,9 @@ def _solve_threshold_lp(
     None and has no V=0 start.  Raises SolverFailure unless the LP ends
     optimal, or unbounded without the cap.
     """
-    stats = strategies, _, block, _, matched, offset = statistics(config)
+    stats = strategies, _, block, _, matched, offset = statistics(alice, bob)
     k = len(strategies)
-    key = (statistics, cap, config.dimension, config.n_alice, config.n_bob)
+    key = (statistics, cap, alice.shape[1], len(alice), len(bob))
     lp = _visibility_lp(block, matched, offset, cap=cap)
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
@@ -304,7 +315,7 @@ def _threshold(
     the orbit rows divided by N.
     """
     (strategies, table, _, point, _, offset), solution = _solve_threshold_lp(
-        config, statistics, cap=True
+        statistics, *settings_arrays(config), cap=True
     )
     k = len(strategies)
     weights = solution.x[:k]
@@ -332,7 +343,7 @@ def correlation_lp(
     config: ExperimentConfig, pin_visibility: float | None = None
 ) -> tuple[LinearProgram, tuple[DeterministicStrategy, ...]]:
     """LP matching the noiseless correlation matrix scaled by V."""
-    strategies, _, block, _, matched, offset = _correlation_statistics(config)
+    strategies, _, block, _, matched, offset = _correlation_statistics(*settings_arrays(config))
     return _visibility_lp(block, matched, offset, pin_visibility=pin_visibility), strategies
 
 
@@ -365,35 +376,35 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 # unlike the capped V_thr it keeps changing where the quantum point is local.
 # Only the V column depends on the phases, so by the envelope theorem
 # dV*/dphase = V* * y_block . dmatched/dphase, with y the LP's optimal dual.
-# The LP comes from the drivers' statistics functions; each derivatives(config)
-# gives dmatched/dphase as (rows, n_alice + n_bob, N): the derivative by port
-# m's phase of each of Alice's and then Bob's settings.
+# The LP comes from the drivers' statistics functions; each
+# derivatives(alice, bob) gives dmatched/dphase as (rows, n_alice + n_bob, N):
+# the derivative by port m's phase of each of Alice's and then Bob's settings.
 
 
-def _correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
+def _correlation_derivatives(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Correlation matching: the ``_real_rows`` of the values' derivatives."""
-    uses = _settings_pairs(config.n_alice, config.n_bob)[1]
-    by_phase = correlation_derivatives(config)[:, None, :] * uses[:, :, None]
-    return _real_rows(by_phase, config.dimension)
+    uses = _settings_pairs(len(alice), len(bob))[1]
+    by_phase = correlation_derivatives_at(alice, bob)[:, None, :] * uses[:, :, None]
+    return _real_rows(by_phase, alice.shape[1])
 
 
-def _symmetric_derivatives(config: ExperimentConfig) -> np.ndarray:
+def _symmetric_derivatives(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Probability matching over shift orbits: N*P0(0, s) for s = 0..N-2 per pair."""
-    n = config.dimension
-    uses = _settings_pairs(config.n_alice, config.n_bob)[1]
-    by_port = n * pure_coincidence_derivatives(config)
+    n = alice.shape[1]
+    uses = _settings_pairs(len(alice), len(bob))[1]
+    by_port = n * coincidence_derivatives_at(alice, bob)
     by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
     return by_phase.reshape(-1, *uses.shape[1:], n)
 
 
 def _uncapped_visibility(
-    config: ExperimentConfig, statistics, previous: tuple[int, ...] | None
+    statistics, alice: np.ndarray, bob: np.ndarray, previous: tuple[int, ...] | None
 ) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
     """V*, the optimal dual prices of the LP block rows and the optimal basis,
     solved from the basis ``previous`` if ``solve`` accepts it; V* = inf with
     zero prices and no basis where the LP is unbounded (every table uniform)."""
     (strategies, _, block, *_), solution = _solve_threshold_lp(
-        config, statistics, cap=False, previous=previous
+        statistics, alice, bob, cap=False, previous=previous
     )
     if solution.status == "unbounded":
         return math.inf, np.zeros(len(block)), None
@@ -475,10 +486,18 @@ def _ascend(objective, objective_and_gradient, x: np.ndarray) -> np.ndarray:
             return x
 
 
+def _vector_phases(dimension: int, vector: np.ndarray) -> np.ndarray:
+    """Two settings per party, Alice's then Bob's, as a (4, N) phase array
+    with the first phase of every setting pinned to zero."""
+    phases = np.zeros((4, dimension))
+    phases[:, 1:] = vector.reshape(4, dimension - 1)
+    return phases
+
+
 def _vector_config(dimension: int, vector: np.ndarray) -> ExperimentConfig:
-    """Two settings per party, first phase of every setting pinned to zero."""
-    rows = np.asarray(vector, dtype=float).reshape(4, dimension - 1)
-    settings = tuple((0.0, *row) for row in rows.tolist())
+    """The config of ``_vector_phases``, which the scan builds only for each
+    restart's capped threshold and for its result."""
+    settings = _vector_phases(dimension, vector).tolist()
     return ExperimentConfig(dimension, settings[:2], settings[2:])
 
 
@@ -496,6 +515,9 @@ def scan(
     (correlation matching) or "prob" (probability matching), as on the
     command line.
     """
+    for name, value in (("dimension", dimension), ("restarts", restarts), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 2 <= dimension <= 6:
         raise ValueError(f"scan supports dimensions 2..6, got {dimension}")
     if restarts < 1:
@@ -510,20 +532,21 @@ def scan(
         raise ValueError(f"unknown method {method!r} (known: corr, prob)")
     threshold, statistics, derivatives = methods[method]
 
-    def visibility(config: ExperimentConfig) -> tuple[float, np.ndarray]:
+    def visibility(vector: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """V*, its block prices and the phases of the settings at vector."""
         nonlocal basis
-        v, prices, basis = _uncapped_visibility(config, statistics, basis)
-        return v, prices
+        phases = _vector_phases(dimension, vector)
+        v, prices, basis = _uncapped_visibility(statistics, phases[:2], phases[2:], basis)
+        return v, prices, phases
 
     def objective(vector: np.ndarray) -> float:
-        return -visibility(_vector_config(dimension, vector))[0]
+        return -visibility(vector)[0]
 
     def objective_and_gradient(vector: np.ndarray) -> tuple[float, np.ndarray]:
-        config = _vector_config(dimension, vector)
-        v, prices = visibility(config)
+        v, prices, phases = visibility(vector)
         if v == math.inf:
             return -v, np.zeros(vector.size)
-        gradient = v * np.tensordot(prices, derivatives(config), axes=1)
+        gradient = v * np.tensordot(prices, derivatives(phases[:2], phases[2:]), axes=1)
         return -v, -gradient[:, 1:].reshape(-1)
 
     history: list[tuple[int, float]] = []

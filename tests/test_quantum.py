@@ -5,14 +5,19 @@ import pytest
 
 from multiport_bell.quantum import (
     ExperimentConfig,
+    coincidence_derivatives_at,
+    coincidences_at,
     correlation_derivatives,
+    correlation_derivatives_at,
     correlation_matrix,
     correlation_value,
+    correlations_at,
     fourier_matrix,
     joint_probabilities,
     observable_unitary,
     pair_coincidences,
     pure_coincidence_derivatives,
+    settings_arrays,
 )
 from multiport_bell.threshold import builtin_config
 
@@ -185,6 +190,31 @@ def test_correlation_views_equal_the_per_pair_closed_form_bit_for_bit():
                     value = (1 - noise) * complex(terms.sum() / n)
                     assert correlation_matrix(cfg, noise)[i, j] == value
                     assert correlation_value(cfg, i, j, noise) == value
+
+
+def test_config_functions_are_the_array_level_core_bit_for_bit():
+    for cfg in per_pair_configs():
+        alice, bob = settings_arrays(cfg)
+        assert alice.shape == (cfg.n_alice, cfg.dimension)
+        assert bob.shape == (cfg.n_bob, cfg.dimension)
+        assert alice.tolist() == [list(s) for s in cfg.alice_settings]
+        assert bob.tolist() == [list(s) for s in cfg.bob_settings]
+        assert np.array_equal(pair_coincidences(cfg), coincidences_at(alice, bob))
+        assert np.array_equal(
+            pure_coincidence_derivatives(cfg), coincidence_derivatives_at(alice, bob)
+        )
+        assert np.array_equal(correlation_derivatives(cfg), correlation_derivatives_at(alice, bob))
+        correlations = correlations_at(alice, bob)
+        assert correlations.shape == (cfg.n_alice * cfg.n_bob,)
+        for noise in (0.0, 0.37, 1.0):
+            expected = ((1.0 - noise) * correlations).reshape(cfg.n_alice, cfg.n_bob)
+            assert np.array_equal(correlation_matrix(cfg, noise), expected)
+        # the array-level core reads views as it reads fresh arrays, as the
+        # scan passes the rows of one phase array
+        phases = np.concatenate([alice, bob])
+        views = phases[: cfg.n_alice], phases[cfg.n_alice :]
+        assert np.array_equal(coincidences_at(*views), pair_coincidences(cfg))
+        assert np.array_equal(correlations_at(*views), correlations)
 
 
 def test_per_pair_views_check_indices_before_noise():

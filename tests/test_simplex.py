@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from multiport_bell import simplex, threshold
-from multiport_bell.quantum import ExperimentConfig
+from multiport_bell.quantum import ExperimentConfig, settings_arrays
 from multiport_bell.simplex import (
     LinearProgram,
     check_certificate,
@@ -287,7 +287,7 @@ def factorized(matrix, rhs):
     ``matrix``."""
     m = len(rhs)
     data = np.column_stack([matrix, np.eye(m), rhs])
-    return simplex._factorize(data, np.arange(m))
+    return simplex._factorize(data, np.arange(m), float(np.abs(matrix).max()))
 
 
 def test_factorize_rejects_a_singular_basis():
@@ -580,8 +580,8 @@ def count_row_spaces(monkeypatch) -> list[int]:
 def lp_and_zero_basis(cfg, statistics, cap):
     """A threshold LP of ``cfg``, capped as the drivers solve it or uncapped as
     the scan does, and the cached V=0 basis its solves start from."""
-    _, _, block, _, matched, offset = statistics(cfg)
-    threshold._solve_threshold_lp(cfg, statistics, cap=cap)
+    _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
+    threshold._solve_threshold_lp(statistics, *settings_arrays(cfg), cap=cap)
     zero = threshold._START_BASES[(statistics, cap, cfg.dimension, cfg.n_alice, cfg.n_bob)]
     return threshold._visibility_lp(block, matched, offset, cap=cap), zero
 
@@ -629,7 +629,8 @@ def test_dual_simplex_resolves_a_nudged_lp_from_the_previous_basis():
     nudged = ExperimentConfig(3, moved, cfg.bob_settings)
     nudged_lp, _ = lp_and_zero_basis(nudged, statistics, cap=False)
     data = np.column_stack([nudged_lp.constraint_matrix, np.eye(nudged_lp.n_rows), nudged_lp.rhs])
-    inverse = simplex._factorize(data, np.array(previous.basis))
+    a_max = float(np.abs(nudged_lp.constraint_matrix).max())
+    inverse = simplex._factorize(data, np.array(previous.basis), a_max)
     assert inverse[:, -1].min() < -simplex.CERTIFICATE_VARIABLE_TOL
     warm = solve(nudged_lp, starts=[previous.basis, zero])
     from_zero = solve(nudged_lp, starts=[zero])

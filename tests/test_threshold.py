@@ -8,9 +8,12 @@ from scipy.optimize import linprog
 from multiport_bell import threshold
 from multiport_bell.quantum import (
     ExperimentConfig,
+    correlation_derivatives,
     correlation_matrix,
     joint_probabilities,
     pair_coincidences,
+    pure_coincidence_derivatives,
+    settings_arrays,
 )
 from multiport_bell.simplex import (
     LinearProgram,
@@ -283,7 +286,7 @@ def test_probability_weights_cover_every_strategy_uniformly_per_orbit():
 
 
 def test_drivers_build_each_quantum_table_once(monkeypatch):
-    calls = {"pair_coincidences": 0, "joint_probabilities": 0, "correlation_matrix": 0}
+    calls = {"coincidences_at": 0, "joint_probabilities": 0, "correlations_at": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
@@ -293,9 +296,9 @@ def test_drivers_build_each_quantum_table_once(monkeypatch):
         monkeypatch.setattr(threshold, name, counted)
     cfg = builtin_config("paper-qutrit")
     probability_threshold(cfg)
-    assert calls == {"pair_coincidences": 1, "joint_probabilities": 0, "correlation_matrix": 0}
+    assert calls == {"coincidences_at": 1, "joint_probabilities": 0, "correlations_at": 0}
     correlation_threshold(cfg)
-    assert calls == {"pair_coincidences": 1, "joint_probabilities": 0, "correlation_matrix": 1}
+    assert calls == {"coincidences_at": 1, "joint_probabilities": 0, "correlations_at": 1}
 
 
 def test_drivers_enumerate_each_strategy_shape_once(monkeypatch):
@@ -416,7 +419,8 @@ RATIO_TEST_CONFIG = ExperimentConfig(
 
 
 def ratio_test_lp():
-    _, _, block, _, matched, offset = threshold._correlation_statistics(RATIO_TEST_CONFIG)
+    statistics = threshold._correlation_statistics
+    _, _, block, _, matched, offset = statistics(*settings_arrays(RATIO_TEST_CONFIG))
     lp = threshold._visibility_lp(block, matched, offset, cap=False)
     assert lp.constraint_matrix.shape == (9, 65)
     return lp
@@ -447,7 +451,7 @@ def test_ratio_test_lp_solves_from_the_zero_visibility_start(monkeypatch):
     key = (threshold._correlation_statistics, False, 4, 2, 2)
     monkeypatch.setattr(threshold, "_START_BASES", {key: RATIO_TEST_START})
     (strategies, *_), solution = threshold._solve_threshold_lp(
-        RATIO_TEST_CONFIG, threshold._correlation_statistics, cap=False
+        threshold._correlation_statistics, *settings_arrays(RATIO_TEST_CONFIG), cap=False
     )
     lp = ratio_test_lp()
     assert solution.status == "optimal"
@@ -498,6 +502,11 @@ def central_difference(function, cfg, step=1e-6):
     return np.moveaxis(np.array(columns), (0, 1), (-2, -1))
 
 
+def uncapped_visibility(cfg, statistics):
+    """V*, the block prices and the basis of cfg's uncapped LP, solved cold."""
+    return threshold._uncapped_visibility(statistics, *settings_arrays(cfg), None)
+
+
 # the statistics each scan method builds its LP from, and dmatched/dphase
 DERIVATIVES = (
     (threshold._correlation_statistics, threshold._correlation_derivatives),
@@ -524,12 +533,12 @@ def test_matched_phase_derivatives_match_central_differences():
     configs.append(random_config(rng, 3, 3, 2))
     for cfg in configs:
         for statistics, derivative in DERIVATIVES:
-            _, _, block, _, matched, _ = statistics(cfg)
-            derivatives = derivative(cfg)
+            _, _, block, _, matched, _ = statistics(*settings_arrays(cfg))
+            derivatives = derivative(*settings_arrays(cfg))
             # one derivative row per LP block row
             assert len(block) == matched.size
             assert derivatives.shape == (matched.size, cfg.n_alice + cfg.n_bob, cfg.dimension)
-            numeric = central_difference(lambda c: statistics(c)[4], cfg)
+            numeric = central_difference(lambda c: statistics(*settings_arrays(c))[4], cfg)
             assert np.max(np.abs(derivatives - numeric)) <= 1e-8
 
 
@@ -542,23 +551,94 @@ def test_visibility_gradient_matches_central_differences():
         for draw in (random_config, near_optimal_config):
             cfg = draw(rng, dimension)
             for statistics, derivative in DERIVATIVES:
-                _, _, block, _, matched, offset = statistics(cfg)
+                _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
                 lp = threshold._visibility_lp(block, matched, offset, cap=False)
                 solution = solve(lp)
                 assert solution.status == "optimal"
                 assert_dual_certifies(lp, solution)
                 if solution.x[list(solution.basis)].min() < 1e-6:
                     continue
-                v, prices, _ = threshold._uncapped_visibility(cfg, statistics, None)
+                v, prices, _ = uncapped_visibility(cfg, statistics)
                 assert v == pytest.approx(solution.objective_value, abs=1e-12)
                 # the gradient the scan's BFGS objective forms
-                gradient = v * np.tensordot(prices, derivative(cfg), axes=1)
+                gradient = v * np.tensordot(prices, derivative(*settings_arrays(cfg)), axes=1)
                 numeric = central_difference(
-                    lambda c: threshold._uncapped_visibility(c, statistics, None)[0], cfg
+                    lambda c: uncapped_visibility(c, statistics)[0], cfg
                 )
                 assert np.max(np.abs(gradient - numeric)) <= 1e-7
                 checked += 1
     assert checked >= 24
+
+
+def config_route(dimension, vector, method):
+    """The uncapped LP of a scan probe, and dmatched/dphase, built from the
+    config of its phase vector through quantum's config-level functions."""
+    cfg = threshold._vector_config(dimension, vector)
+    uses = threshold._settings_pairs(cfg.n_alice, cfg.n_bob)[1]
+    if method == "corr":
+        block = threshold._correlation_data(dimension, cfg.n_alice, cfg.n_bob)[2]
+        matched = threshold._real_rows(correlation_matrix(cfg).reshape(-1), dimension)
+        by_phase = correlation_derivatives(cfg)[:, None, :] * uses[:, :, None]
+        derivatives = threshold._real_rows(by_phase, dimension)
+        offset = 0.0
+    else:
+        block = threshold._symmetric_data(dimension, cfg.n_alice, cfg.n_bob)[2]
+        matched = (dimension * pair_coincidences(cfg))[:, :-1].reshape(-1)
+        by_port = dimension * pure_coincidence_derivatives(cfg)
+        by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
+        derivatives = by_phase.reshape(-1, *uses.shape[1:], dimension)
+        offset = 1.0 / dimension
+    return threshold._visibility_lp(block, matched, offset, cap=False), derivatives
+
+
+SCAN_ROUTES = dict(zip(("corr", "prob"), DERIVATIVES))
+
+
+@pytest.mark.parametrize("method", ["corr", "prob"])
+def test_scan_probe_route_matches_the_config_route_bit_for_bit(monkeypatch, method):
+    # a scan probe goes from its phase vector to the LP's V column and prices
+    # without building a config; the config of the same vector gives the same
+    # LP, V*, prices and gradient
+    statistics, derivative = SCAN_ROUTES[method]
+    rng = np.random.default_rng(20261026)
+    monkeypatch.setattr(threshold, "_START_BASES", {})
+    lps = recorded_solves(monkeypatch)
+    for dimension in (2, 3, 4, 5, 6):
+        key = (statistics, False, dimension, 2, 2)
+        for _ in range(3):
+            vector = rng.uniform(0.0, 2.0 * math.pi, 4 * (dimension - 1))
+            phases = threshold._vector_phases(dimension, vector)
+            alice, bob = phases[:2], phases[2:]
+            v, prices, _ = threshold._uncapped_visibility(statistics, alice, bob, None)
+            gradient = v * np.tensordot(prices, derivative(alice, bob), axes=1)
+            lp, derivatives = config_route(dimension, vector, method)
+            assert lp_bits(lps[-1]) == lp_bits(lp)
+            zero = threshold._START_BASES[key]
+            expected = solve(lp, starts=[zero] if zero is not None else [])
+            assert expected.status == "optimal"
+            k = lp.n_cols - 1
+            assert v == expected.x[k]
+            assert np.array_equal(prices, expected.dual[: len(prices)])
+            assert np.array_equal(derivative(alice, bob), derivatives)
+            expected_gradient = expected.x[k] * np.tensordot(
+                expected.dual[: len(prices)], derivatives, axes=1
+            )
+            assert np.array_equal(gradient, expected_gradient)
+
+
+def test_scan_builds_configs_only_for_its_results(monkeypatch):
+    # one config per restart for its capped threshold, and one for the result
+    built = []
+    original = threshold.ExperimentConfig
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "ExperimentConfig", counted)
+    result = scan(3, 2, 0, "prob")
+    assert len(built) == 3
+    assert result.best_config == original(*built[-1])
 
 
 def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
@@ -567,9 +647,7 @@ def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
         ((0.0, 0.0), (0.0, -math.pi)),
         ((0.0, -math.pi / 2), (0.0, math.pi / 2)),
     )
-    v, prices, basis = threshold._uncapped_visibility(
-        cfg, threshold._symmetric_statistics, None
-    )
+    v, prices, basis = uncapped_visibility(cfg, threshold._symmetric_statistics)
     assert v == math.inf
     assert not prices.any()
     assert basis is None
@@ -578,7 +656,7 @@ def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
 def test_scan_probes_build_no_derivatives(monkeypatch):
     # the golden-section probes read V* alone, so most LP solves of a restart
     # build no phase derivatives
-    calls = {"pure_coincidence_derivatives": 0, "solve": 0}
+    calls = {"coincidence_derivatives_at": 0, "solve": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
@@ -589,16 +667,16 @@ def test_scan_probes_build_no_derivatives(monkeypatch):
     scan(3, 1, 0, "prob")
     assert calls["solve"] > 0
     # one call builds the derivatives of every settings pair
-    assert calls["pure_coincidence_derivatives"] < calls["solve"] / 2
+    assert calls["coincidence_derivatives_at"] < calls["solve"] / 2
 
 
 def test_scan_keeps_the_start_where_every_uncapped_lp_is_unbounded(monkeypatch):
     # V* = inf everywhere: the sweep finds no gain, the gradient is zero
     # without any phase derivatives, and each restart ends at its start
-    def unbounded(config, statistics, previous):
-        return math.inf, np.zeros(len(statistics(config)[2])), None
+    def unbounded(statistics, alice, bob, previous):
+        return math.inf, np.zeros(len(statistics(alice, bob)[2])), None
 
-    def no_derivatives(config):
+    def no_derivatives(alice, bob):
         raise AssertionError("derivatives built for an unbounded LP")
 
     monkeypatch.setattr(threshold, "_uncapped_visibility", unbounded)
@@ -693,7 +771,7 @@ def test_every_threshold_lp_is_built_by_visibility_lp(monkeypatch):
     cfg = random_config(np.random.default_rng(20261019), 3)
 
     def built(statistics, cap):
-        _, _, block, _, matched, offset = statistics(cfg)
+        _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
         return threshold._visibility_lp(block, matched, offset, cap=cap)
 
     runs = [
@@ -702,7 +780,7 @@ def test_every_threshold_lp_is_built_by_visibility_lp(monkeypatch):
     ] + [
         # one scan step: the uncapped LP the scan's objective solves
         (
-            lambda statistics=statistics: threshold._uncapped_visibility(cfg, statistics, None),
+            lambda statistics=statistics: uncapped_visibility(cfg, statistics),
             built(statistics, False),
         )
         for statistics in (threshold._correlation_statistics, threshold._symmetric_statistics)
@@ -761,6 +839,31 @@ def test_scan_validation():
         scan(3, 1, 0, method="nope")
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         scan(3, 1, -1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, 2.0, 0), "restarts must be an integer, got 2.0"),
+        ((3, 2, 1.5), "seed must be an integer, got 1.5"),
+        ((3, True, 0), "restarts must be an integer, got True"),
+        ((True, 1, 0), "dimension must be an integer, got True"),
+        ((3.0, 1, 0), "dimension must be an integer, got 3.0"),
+        ((3, 1, False), "seed must be an integer, got False"),
+        ((3, 1, "7"), "seed must be an integer, got '7'"),
+    ],
+)
+def test_scan_rejects_non_integer_arguments(args, message):
+    with pytest.raises(ValueError) as failure:
+        scan(*args)
+    assert str(failure.value) == message
+
+
+def test_scan_takes_numpy_integers():
+    plain = scan(2, 2, 3, "corr")
+    numpy = scan(np.int64(2), np.int64(2), np.int64(3), "corr")
+    assert numpy.history == plain.history
+    assert numpy.best_config == plain.best_config
 
 
 def test_probability_scan_has_no_failed_restart():
@@ -836,8 +939,8 @@ def test_scan_restarts_ignore_roundoff_in_visibility(monkeypatch, pool_histories
     for pattern in ((1e-15, -1e-15), (-1e-15, -1e-15, 1e-15)):
         shifts = itertools.cycle(pattern)
 
-        def nudged_visibility(config, statistics, previous):
-            v, prices, basis = uncapped(config, statistics, previous)
+        def nudged_visibility(*args):
+            v, prices, basis = uncapped(*args)
             return v + next(shifts), prices, basis
 
         monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
@@ -858,8 +961,8 @@ def test_line_search_ignores_roundoff_at_every_nudge_phase(monkeypatch):
         for offset in range(len(pattern)):
             shifts = itertools.cycle(pattern[offset:] + pattern[:offset])
 
-            def nudged_visibility(config, statistics, previous, _shifts=shifts):
-                v, prices, basis = uncapped(config, statistics, previous)
+            def nudged_visibility(*args, _shifts=shifts):
+                v, prices, basis = uncapped(*args)
                 return v + next(_shifts), prices, basis
 
             monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
