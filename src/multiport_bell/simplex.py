@@ -3,11 +3,13 @@
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
 threshold problems in this package rather than generality:
 
-- the first of the starting bases named by the caller that is primal
-  feasible skips phase 1, and so does one that is only dual feasible, after
-  at most m dual simplex pivots.  Starts are tried on the original rows
-  only: one that factorizes proves them independent, and a rank-deficient
-  LP accepts none;
+- the first of the starts named by the caller that is primal feasible
+  skips phase 1, and so does one that is only dual feasible, after at most
+  m dual simplex pivots.  A start is a basis, or a previous solution of an
+  LP with the same A and c, whose verified basis inverse is dual feasible
+  for any b and takes the place of a factorization.  Starts are tried on
+  the original rows only: one that factorizes proves them independent, and
+  a rank-deficient LP accepts none;
 - only when no start is accepted are the rows reduced to an orthonormal
   basis of A's row space.  Only some threshold LPs need it: the full
   probability LPs are rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +86,20 @@ class LinearProgram:
             arr.setflags(write=False)
         self.objective, self.constraint_matrix, self.rhs = c, a, b
 
+    def with_rhs(self, rhs) -> LinearProgram:
+        """This LP with the right-hand side ``rhs``, sharing its frozen A and
+        c, so that ``solve`` may start it from a solution of this one; only
+        rhs is validated."""
+        b = np.array(rhs, dtype=float)
+        if b.shape != self.rhs.shape:
+            raise ValueError(f"rhs of shape {b.shape} for {self.n_rows} rows")
+        if not np.isfinite(b).all():
+            raise ValueError("rhs contains non-finite entries")
+        b.setflags(write=False)
+        lp = object.__new__(LinearProgram)
+        lp.objective, lp.constraint_matrix, lp.rhs = self.objective, self.constraint_matrix, b
+        return lp
+
     @property
     def n_rows(self) -> int:
         return self.rhs.size
@@ -103,6 +119,11 @@ class LPSolution:
     detail: str = ""
     basis: tuple[int, ...] | None = None  # when optimal: columns, a start at full row rank
     dual: np.ndarray | None = None  # one price per original row, when optimal
+    # when optimal on the original rows: the LP solved and the B^-1 of
+    # ``basis`` that _factorize produced and the solve verified, a start for
+    # the LPs that share the LP's A and c (``LinearProgram.with_rhs``)
+    lp: LinearProgram | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -112,6 +133,11 @@ class CertificateReport:
     objective_recomputed: float
     objective_gap: float
     passed: bool
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _pivot(
@@ -158,20 +184,21 @@ def _factorize(data: np.ndarray, basis: np.ndarray, a_max: float) -> np.ndarray 
 
 def _optimize(
     a: np.ndarray, costs: np.ndarray, inverse: np.ndarray, basis: np.ndarray, budget: int
-) -> tuple[str, int]:
+) -> tuple[str, int, np.ndarray]:
     """Run simplex iterations until optimality, unboundedness, ``budget``
     pivots or another ``stall_limit`` pivots without a gain once Bland's rule
     engaged; returns the verdict ("optimal", "unbounded", "iteration cap ...
-    hit" or "stalled under Bland's rule") and the pivots made.
+    hit" or "stalled under Bland's rule"), the pivots made and the prices
+    c_B B^-1 of the basis it ends in.
 
     ``inverse`` is [B^-1 | x_B]: the basis inverse and the basic values.
     Only the structural columns of ``a`` may enter; ``costs`` also prices the
     artificial columns that may still be basic.
     """
     m, n = a.shape
-    if n == 0:
-        return "optimal", 0
     binv, values = inverse[:, :m], inverse[:, m]
+    if n == 0:
+        return "optimal", 0, costs[basis] @ binv
     structural = costs[:n]
     stall_limit = 5 * (m + n)
     best_objective = -math.inf
@@ -179,18 +206,19 @@ def _optimize(
     stalled = 0
     bland = False
     while True:
-        reduced = structural - costs[basis] @ binv @ a
+        prices = costs[basis] @ binv
+        reduced = structural - prices @ a
         # Bland's rule enters the lowest improving column
         col = int((reduced > PIVOT_TOL).argmax() if bland else reduced.argmax())
         gain = reduced.item(col)
         if gain <= PIVOT_TOL:
-            return "optimal", pivots
+            return "optimal", pivots, prices
         column = binv @ a[:, col]
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
-            return "unbounded", pivots
+            return "unbounded", pivots, prices
         if pivots >= budget:
-            return f"iteration cap {ITERATION_CAP} hit", pivots
+            return f"iteration cap {ITERATION_CAP} hit", pivots, prices
         if not pivots:
             # the objective the stall test follows, from the first pivot on
             objective = float(costs[basis] @ values)
@@ -216,19 +244,19 @@ def _optimize(
         else:
             stalled += 1
             if stalled > 2 * stall_limit:
-                return "stalled under Bland's rule", pivots
+                return "stalled under Bland's rule", pivots, prices
             if stalled > stall_limit:
                 bland = True
 
 
 def _dual_optimize(
     a: np.ndarray, c: np.ndarray, inverse: np.ndarray, basis: np.ndarray
-) -> int | None:
+) -> tuple[int, float] | None:
     """Dual simplex iterations on [B^-1 | x_B] of a basis of structural
     columns until no basic value is below -CERTIFICATE_VARIABLE_TOL; returns
-    the pivots made, or None when the basis is primal infeasible and not dual
-    feasible (a reduced cost above PIVOT_TOL), when no column can enter or
-    when m pivots do not suffice.
+    the pivots made and min(x_B, 0) at the end, or None when the basis is
+    primal infeasible and not dual feasible (a reduced cost above
+    PIVOT_TOL), when no column can enter or when m pivots do not suffice.
 
     The most negative basic value leaves, on row r, and of the columns with
     alpha_rj = (B^-1 a_j)_r below -PIVOT_TOL the one with the smallest
@@ -238,7 +266,10 @@ def _dual_optimize(
     m = a.shape[0]
     binv, values = inverse[:, :m], inverse[:, m]
     pivots = 0
-    while values.min(initial=0.0) < -CERTIFICATE_VARIABLE_TOL:
+    while True:
+        lowest = float(values.min(initial=0.0))
+        if not lowest < -CERTIFICATE_VARIABLE_TOL:
+            return pivots, lowest
         reduced = c - c[basis] @ binv @ a
         row = int(values.argmin())
         alpha = binv[row] @ a
@@ -251,23 +282,42 @@ def _dual_optimize(
         col = int(ties[alpha[ties].argmin()])
         _pivot(inverse, basis, binv @ a[:, col], row, col)
         pivots += 1
-    return pivots
 
 
 def _accepted_start(
-    data: np.ndarray, a_max: float, starts: list[np.ndarray], c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """[B^-1 | x_B], the basis and the dual simplex pivots of the first of
-    ``starts`` that has one column per row of ``data`` = [A | I | b], passes
-    ``_factorize`` and is primal feasible as it is or after ``_dual_optimize``
-    (which pivots the start in place); None if no start is."""
-    m = data.shape[0]
-    for basis in starts:
-        inverse = _factorize(data, basis, a_max) if basis.size == m else None
-        if inverse is not None:
-            pivots = _dual_optimize(data[:, : c.size], c, inverse, basis)
-            if pivots is not None:
-                return inverse, basis, pivots
+    b: np.ndarray, original, starts: list, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | LPSolution] | None:
+    """[B^-1 | x_B], the basis, the dual simplex pivots, min(x_B, 0) and the
+    start itself of the first of ``starts`` that is primal feasible as it is
+    or after ``_dual_optimize`` (which pivots the start in place); None if no
+    start is.  ``original()`` gives [A | I | b] and max|A_ij|.
+
+    A basis must have one column per row and pass ``_factorize``; a previous
+    solution gives its verified B^-1 as it is, and x_B = B^-1 b, which must
+    pass _factorize's bound of 1e8 on every entry.  A solution start that is
+    primal feasible needs neither of ``original()``."""
+    m = b.size
+    for start in starts:
+        if isinstance(start, LPSolution):
+            basis = np.array(start.basis)
+            inverse = np.empty((m, m + 1))
+            inverse[:, :m] = start.inverse
+            inverse[:, m] = start.inverse @ b
+            if not np.abs(inverse[:, m]).max(initial=0.0) <= 1e8:
+                continue
+            lowest = float(inverse[:, m].min(initial=0.0))
+            if not lowest < -CERTIFICATE_VARIABLE_TOL:
+                return inverse, basis, 0, lowest, start
+        else:
+            basis = start
+            data, a_max = original()
+            inverse = _factorize(data, basis, a_max) if basis.size == m else None
+            if inverse is None:
+                continue
+        data = original()[0]
+        verdict = _dual_optimize(data[:, : c.size], c, inverse, basis)
+        if verdict is not None:
+            return inverse, basis, *verdict, start
     return None
 
 
@@ -360,7 +410,9 @@ def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return data
 
 
-def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolution:
+def solve(
+    lp: LinearProgram, *, starts: Sequence[Sequence[int] | LPSolution] = ()
+) -> LPSolution:
     """Two-phase simplex on the independent rows; exact status reporting.
 
     Each phase's verdict is re-checked once against a basis inverse
@@ -370,26 +422,34 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     objective that grows): pivot roundoff can end a solve "failed", never
     with a silently wrong answer.
 
-    ``starts`` are candidate starting bases, tried in order (each one
-    distinct structural columns, else ValueError) on the original rows.  A
-    candidate is accepted if it has one column per row, passes the
-    strict refactorization and either leaves no basic value below
-    -CERTIFICATE_VARIABLE_TOL or, having no reduced cost above PIVOT_TOL,
-    reaches such values within m dual simplex pivots (``_dual_optimize``),
-    whose basis phase 2 refactorizes.  An accepted start replaces phase 1
-    and proves the rows independent, so they are not reduced; a
+    ``starts`` are candidates, tried in order on the original rows: starting
+    bases (each one distinct structural columns, else ValueError) and
+    previous solutions that carry the verified B^-1 of an LP with this LP's
+    own A and c objects, as ``LinearProgram.with_rhs`` shares them (any
+    other solution is a ValueError).  A basis is accepted if it has one
+    column per row and passes the strict refactorization; a solution gives
+    its B^-1 in place of that refactorization.  Either must then leave no
+    basic value below -CERTIFICATE_VARIABLE_TOL or, having no reduced cost
+    above PIVOT_TOL, reach such values within m dual simplex pivots
+    (``_dual_optimize``, on a copy of a solution's B^-1), whose basis phase
+    2 refactorizes.  A solution's basis is dual feasible by construction:
+    A, c and B^-1 are those its reduced costs were verified with.  So when
+    it stays primal feasible, the solve ends with no factorization and no
+    pricing, and takes the solution's dual.  An accepted start replaces
+    phase 1 and proves the rows independent, so they are not reduced; a
     rank-deficient LP accepts none.  A rejected candidate leaves the solve
     as it was.  If none is accepted, the equalities are replaced by an
     orthonormal basis of their row space, so redundant rows never reach the
     basis and every phase-1 artificial leaves it, and phase 1 runs on them,
     reflected by ``_reflected``.  Phase 2 starts from a basis factorized on
     the unreflected rows, the original ones at full row rank, so a solve
-    from a start and a solve without starts that ends in that basis agree
-    bit for bit.  An optimal solution carries its ``basis``, a start for LPs
-    with the same A, b when A has full row rank, and its ``dual`` y over the
-    original rows (b.y is the optimum and c - A^T y <= 0): the prices
-    c_B B^-1 from the verified final basis inverse, mapped back by U when
-    phase 2 ran on reduced rows.
+    from a starting basis and a solve without starts that ends in that
+    basis agree bit for bit.  An optimal solution carries its ``basis``, a
+    start for LPs with the same A, b when A has full row rank, and its
+    ``dual`` y over the original rows (b.y is the optimum and c - A^T y <=
+    0): the prices c_B B^-1 from the verified final basis inverse, mapped
+    back by U when phase 2 ran on reduced rows.  When phase 2 ran on the
+    original rows it also carries that ``inverse`` and its ``lp``.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
@@ -398,6 +458,13 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     iterations = 0
     checked = []
     for start in starts:
+        if isinstance(start, LPSolution):
+            if start.inverse is None or not (
+                start.lp.constraint_matrix is a0 and start.lp.objective is c
+            ):
+                raise ValueError("a solution start must carry the B^-1 of an LP with this A and c")
+            checked.append(start)
+            continue
         columns = list(map(operator.index, start))
         if (
             len(set(columns)) != len(columns)
@@ -410,20 +477,50 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, iterations, detail)
 
-    # [A | I | b] on the original rows and max|A_ij|; the reduced rows
-    # replace them only when no start is accepted
-    data = _augmented(a0, b0)
-    a_max = float(np.abs(a0).max(initial=0.0))
+    def optimum(prices: np.ndarray) -> LPSolution:
+        """The optimum of ``basis`` and the verified ``inverse``, whose
+        c_B B^-1 are ``prices``, checked from scratch against the original
+        rows."""
+        x = np.zeros(n)
+        x[basis] = inverse[:, m]
+        residual = float(np.abs(a0 @ x - b0).max(initial=0.0))
+        # min(x_B, 0) of the verified inverse is min(x, 0)
+        if lowest < -CERTIFICATE_VARIABLE_TOL:
+            return unsolved("failed", "negative variable")
+        if residual > CERTIFICATE_RESIDUAL_TOL:
+            return unsolved("failed", f"residual {residual:.3e}")
+        solution = LPSolution(
+            "optimal", float(c @ x), x, residual, iterations, "", tuple(basis.tolist()), prices
+        )
+        if u is None:
+            solution.lp, solution.inverse = lp, _frozen(inverse[:, :m])
+        else:
+            solution.dual = u @ prices
+        return solution
+
+    rows = None
+
+    def original() -> tuple[np.ndarray, float]:
+        """[A | I | b] on the original rows and max|A_ij|, built on first use."""
+        nonlocal rows
+        if rows is None:
+            rows = _augmented(a0, b0), float(np.abs(a0).max(initial=0.0))
+        return rows
+
     m = b0.size
     u = None  # U of the reduced rows, when phase 2 runs on them
-    feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
+    prices = None  # c_B B^-1 of the verified inverse, from optimize_verified
 
     def optimize_verified(costs: np.ndarray, data: np.ndarray, a_max: float) -> str:
         """Optimize over ``data`` = [A | I | b], with max|A_ij| ``a_max``,
-        then check the verdict once against refactorized data."""
-        nonlocal inverse, factorized, iterations
+        then check the verdict once against refactorized data.  Leaves the
+        prices c_B B^-1 of the verified inverse in ``prices`` (after an
+        "optimal") and its min(x_B, 0) in ``lowest``."""
+        nonlocal inverse, factorized, iterations, lowest, prices
         a = data[:, :n]
-        status, pivots = _optimize(a, costs, inverse, basis, ITERATION_CAP - iterations)
+        status, pivots, prices = _optimize(
+            a, costs, inverse, basis, ITERATION_CAP - iterations
+        )
         iterations += pivots
         if status not in ("optimal", "unbounded"):
             return status
@@ -435,28 +532,39 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
             if inverse is None:
                 return "ill-conditioned basis on refactorization"
             factorized = True
-        binv, values = inverse[:, :m], inverse[:, m]
-        if float(values.min(initial=0.0)) < -feasibility_tol:
+            lowest = None
+        if lowest is None:
+            lowest = float(inverse[:, m].min(initial=0.0))
+        if lowest < -feasibility_tol:
             return "primal infeasible on refactorization"
         # an unbounded ray is checked at the end of solve; on an unchanged
         # inverse _optimize has just priced every column as below
         if status == "unbounded" or unchanged:
             return status
-        improving = (costs[:n] - costs[basis] @ binv @ a > PIVOT_TOL).any()
+        prices = costs[basis] @ inverse[:, :m]
+        improving = (costs[:n] - prices @ a > PIVOT_TOL).any()
         return "dual infeasible on refactorization" if improving else "optimal"
 
-    accepted = _accepted_start(data, a_max, checked, c)
+    accepted = _accepted_start(b0, original, checked, c)
     # whether ``inverse`` was factorized from ``basis`` with no pivot since.
     # Dual simplex pivots and phase 1 start it False, so that their basis is
     # refactorized even after no primal pivot; for phase 1 that is the only
     # check that rejects reduced rows with an entry above 1e8.  Without it,
     # LinearProgram([0, 1], [[1e9, 1]], [0]), whose only feasible point is
-    # x = 0, passes phase 1 and only the ray check stops phase 2's "unbounded"
+    # x = 0, passes phase 1 and only the ray check stops phase 2's "unbounded".
+    # ``lowest`` is min(x_B, 0) of ``inverse``, or None until it is taken
     if accepted is not None:
-        inverse, basis, pivots = accepted
+        inverse, basis, pivots, lowest, start = accepted
         iterations += pivots
+        if not pivots and isinstance(start, LPSolution):
+            # A, c and B^-1 are those the start's reduced costs and dual were
+            # verified with, so it is optimal as it is
+            return optimum(start.dual)
         factorized = pivots == 0
-    else:
+    # the reduced rows replace the original ones only when no start is accepted
+    data, a_max = original()
+    feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
+    if accepted is None:
         reduced = _row_space(a0, b0)
         if reduced is None:
             return unsolved("infeasible", "rhs outside the column space of A")
@@ -498,6 +606,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         inverse = _factorize(data, basis, a_max)
         if inverse is None:
             return unsolved("failed", "phase 1 ill-conditioned basis on refactorization")
+        lowest = None
 
     # only structural columns are basic now, so c prices every basis
     status = optimize_verified(c, data, a_max)
@@ -521,20 +630,7 @@ def solve(lp: LinearProgram, *, starts: Sequence[Sequence[int]] = ()) -> LPSolut
         return LPSolution("unbounded", math.inf, None, math.nan, iterations, "")
     if status != "optimal":
         return unsolved("failed", f"phase 2 {status}")
-
-    x = np.zeros(n)
-    x[basis] = inverse[:, m]
-    residual = float(np.abs(a0 @ x - b0).max(initial=0.0))
-    if float(x.min(initial=0.0)) < -CERTIFICATE_VARIABLE_TOL:
-        return unsolved("failed", "negative variable")
-    if residual > CERTIFICATE_RESIDUAL_TOL:
-        return unsolved("failed", f"residual {residual:.3e}")
-    dual = c[basis] @ inverse[:, :m]
-    if u is not None:
-        dual = u @ dual
-    return LPSolution(
-        "optimal", float(c @ x), x, residual, iterations, "", tuple(basis.tolist()), dual
-    )
+    return optimum(prices)
 
 
 def check_certificate(lp: LinearProgram, solution: LPSolution) -> CertificateReport:

@@ -23,18 +23,22 @@ largest threshold with seeded random restarts.  Each restart minimizes V*,
 the optimum of the drivers' LP without the cap on V, which keeps changing
 where the capped V_thr sits at 1: one golden-section sweep over every phase
 on V* alone, then BFGS on the gradient the LP's optimal dual gives in
-closed form.  Consecutive LPs of a restart differ in the V column only, so
-each one is solved from the restart's last optimal basis, through a few dual
-simplex pivots where the new column leaves it dual but not primal feasible,
-else from the V=0 basis the drivers start from.
+closed form.  The scan solves V* in the Charnes-Cooper variables u = p/V,
+t = 1/V: 1/V* = min 1.u s.t. (block - offset) u = matched - offset, u >= 0,
+whose A and c are one frozen LP per shape, so that only the right-hand side
+depends on the phases.  A restart's first LP is solved cold, and each later
+one from the previous solution's verified basis inverse, which is dual
+feasible for every right-hand side: it ends with no factorization where it
+stays primal feasible, else after a few dual simplex pivots.
 
-Only the V column depends on the phases at all, so each shape's V=0 LP
-(statistics, cap, N, n_alice, n_bob) is solved once.  The quantum point a
-threshold LP matches and its phase derivatives are built for every settings
-pair at once by quantum's array-level functions (``coincidences_at``,
-``correlations_at`` and their derivatives), from the settings as phase
-arrays: a scan probe goes from its phase vector to them directly, and the
-scan builds a config only for each restart's capped threshold and its result.
+The drivers' capped LPs keep V as a column, so each shape's V=0 LP
+(statistics, cap, N, n_alice, n_bob) is solved once as their start.  The
+quantum point a threshold LP matches and its phase derivatives are built
+for every settings pair at once by quantum's array-level functions
+(``coincidences_at``, ``correlations_at`` and their derivatives), from the
+settings as phase arrays: a scan probe goes from its phase vector to them
+directly, and the scan builds a config only for each restart's capped
+threshold and its result.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .quantum import (
     settings_arrays,
 )
 from .quantum import correlation_matrix  # noqa: F401  perfbench traces it under this name
-from .simplex import LinearProgram, SolverFailure, solve
+from .simplex import CERTIFICATE_RESIDUAL_TOL, LinearProgram, LPSolution, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
     enumerate_strategies,
@@ -267,22 +271,17 @@ def _visibility_lp(
 
 
 _START_BASES: dict[tuple, tuple[int, ...] | None] = {}
+_SCAN_LPS: dict[tuple, LinearProgram] = {}
 
 
-def _solve_threshold_lp(
-    statistics,
-    alice: np.ndarray,
-    bob: np.ndarray,
-    cap: bool,
-    previous: tuple[int, ...] | None = None,
-):
+def _solve_threshold_lp(statistics, alice: np.ndarray, bob: np.ndarray, cap: bool):
     """The statistics of the settings and the solution of their threshold LP.
 
-    The solve tries the basis ``previous`` first, if given, then a feasible
-    V=0 basis kept per (statistics, cap, N, n_alice, n_bob): only column k
-    (V) of the LP depends on the phases, so the LP without column k, and its
-    basis of strategy columns (and the cap slack, if the LP has the cap row),
-    are the same for every config of the shape, whichever comes first.  Each
+    The solve starts from a feasible V=0 basis kept per (statistics, cap, N,
+    n_alice, n_bob): only column k (V) of the LP depends on the phases, so
+    the LP without column k, and its basis of strategy columns (and the cap
+    slack, if the LP has the cap row), are the same for every config of the
+    shape, whichever comes first.  Each
     shape's V=0 LP is solved once; unless it ends optimal the shape keeps
     None and has no V=0 start.  Raises SolverFailure unless the LP ends
     optimal, or unbounded without the cap.
@@ -296,8 +295,8 @@ def _solve_threshold_lp(
         fixed = solve(LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs))
         optimal = fixed.status == "optimal"
         _START_BASES[key] = tuple(j + (j >= k) for j in fixed.basis) if optimal else None
-    starts = [s for s in (previous, _START_BASES[key]) if s is not None]
-    solution = solve(lp, starts=starts)
+    zero = _START_BASES[key]
+    solution = solve(lp, starts=[zero] if zero is not None else [])
     if solution.status != "optimal" and (cap or solution.status != "unbounded"):
         raise SolverFailure(
             f"threshold LP ended with status {solution.status}: {solution.detail}"
@@ -374,8 +373,9 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 
 # The scan minimizes V*, the optimum of the threshold LP without its cap row:
 # unlike the capped V_thr it keeps changing where the quantum point is local.
-# Only the V column depends on the phases, so by the envelope theorem
-# dV*/dphase = V* * y_block . dmatched/dphase, with y the LP's optimal dual.
+# Only the rhs of its Charnes-Cooper form depends on the phases, so by the
+# envelope theorem dV*/dphase = V* * prices . dmatched/dphase, with prices
+# = V* y and y that LP's optimal dual (they are the uncapped LP's block duals).
 # The LP comes from the drivers' statistics functions; each
 # derivatives(alice, bob) gives dmatched/dphase as (rows, n_alice + n_bob, N):
 # the derivative by port m's phase of each of Alice's and then Bob's settings.
@@ -398,17 +398,42 @@ def _symmetric_derivatives(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
 
 
 def _uncapped_visibility(
-    statistics, alice: np.ndarray, bob: np.ndarray, previous: tuple[int, ...] | None
-) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
-    """V*, the optimal dual prices of the LP block rows and the optimal basis,
-    solved from the basis ``previous`` if ``solve`` accepts it; V* = inf with
-    zero prices and no basis where the LP is unbounded (every table uniform)."""
-    (strategies, _, block, *_), solution = _solve_threshold_lp(
-        statistics, alice, bob, cap=False, previous=previous
-    )
-    if solution.status == "unbounded":
+    statistics, alice: np.ndarray, bob: np.ndarray, previous: LPSolution | None
+) -> tuple[float, np.ndarray, LPSolution | None]:
+    """V*, the prices of the LP block rows and the solution to start the
+    next probe from, solved from the solution ``previous`` if given, else
+    cold; V* = inf with zero prices and no solution where the statistics
+    are uniform.
+
+    V* solves the Charnes-Cooper form of the uncapped LP (u = p/V, t = 1/V):
+    1/V* = min 1.u s.t. (block - offset) u = matched - offset, u >= 0.  A and
+    c are one frozen LP per shape, kept in ``_SCAN_LPS``, so that only the
+    rhs depends on the phases and the previous solution's verified B^-1
+    starts the solve.  With y the LP's dual, the prices V* y make
+    V* prices . dmatched/dphase the gradient of V*.  Where u = 0 meets the
+    rhs to the certificate's residual tolerance, V* is unbounded to working
+    accuracy.  An LP that ends other than optimal (V* = 0 leaves it
+    infeasible), or at an optimum that is not negative, raises SolverFailure.
+    """
+    strategies, _, block, _, matched, offset = statistics(alice, bob)
+    key = (statistics, alice.shape[1], len(alice), len(bob))
+    if key not in _SCAN_LPS:
+        _SCAN_LPS[key] = LinearProgram(
+            -np.ones(len(strategies)), block - offset, np.zeros(len(block))
+        )
+    rhs = matched - offset
+    if not np.abs(rhs).max() > CERTIFICATE_RESIDUAL_TOL:
         return math.inf, np.zeros(len(block)), None
-    return float(solution.x[len(strategies)]), solution.dual[: len(block)], solution.basis
+    starts = [previous] if previous is not None else []
+    solution = solve(_SCAN_LPS[key].with_rhs(rhs), starts=starts)
+    # t = 0 would need u = 0, which the certified residual rules out
+    if solution.status != "optimal" or not solution.objective_value < 0.0:
+        raise SolverFailure(
+            f"scan LP ended with status {solution.status}, optimum "
+            f"{solution.objective_value}: {solution.detail}"
+        )
+    v = -1.0 / solution.objective_value
+    return v, v * solution.dual, solution
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -534,9 +559,9 @@ def scan(
 
     def visibility(vector: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """V*, its block prices and the phases of the settings at vector."""
-        nonlocal basis
+        nonlocal previous
         phases = _vector_phases(dimension, vector)
-        v, prices, basis = _uncapped_visibility(statistics, phases[:2], phases[2:], basis)
+        v, prices, previous = _uncapped_visibility(statistics, phases[:2], phases[2:], previous)
         return v, prices, phases
 
     def objective(vector: np.ndarray) -> float:
@@ -553,7 +578,7 @@ def scan(
     best_value = -math.inf
     best_vector: np.ndarray | None = None
     for index in range(restarts):
-        basis = None  # the optimal basis of the restart's last uncapped LP
+        previous = None  # the solution of the restart's last V* LP
         rng = np.random.default_rng([seed, index])
         vector = rng.uniform(0.0, 2.0 * math.pi, size=4 * (dimension - 1))
         try:

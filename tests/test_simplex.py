@@ -9,6 +9,7 @@ from multiport_bell import simplex, threshold
 from multiport_bell.quantum import ExperimentConfig, settings_arrays
 from multiport_bell.simplex import (
     LinearProgram,
+    LPSolution,
     check_certificate,
     solve,
 )
@@ -578,8 +579,8 @@ def count_row_spaces(monkeypatch) -> list[int]:
 
 
 def lp_and_zero_basis(cfg, statistics, cap):
-    """A threshold LP of ``cfg``, capped as the drivers solve it or uncapped as
-    the scan does, and the cached V=0 basis its solves start from."""
+    """A threshold LP of ``cfg``, capped as the drivers solve it or uncapped,
+    and the cached V=0 basis its solves start from."""
     _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
     threshold._solve_threshold_lp(statistics, *settings_arrays(cfg), cap=cap)
     zero = threshold._START_BASES[(statistics, cap, cfg.dimension, cfg.n_alice, cfg.n_bob)]
@@ -619,8 +620,8 @@ def test_accepted_start_skips_the_row_reduction(monkeypatch, name, statistics, c
 
 
 def test_dual_simplex_resolves_a_nudged_lp_from_the_previous_basis():
-    # the scan's case: only the V column moves, and the previous optimal basis
-    # is then dual feasible but primal infeasible
+    # only the V column moves, and the previous optimal basis is then dual
+    # feasible but primal infeasible
     cfg = builtin_config("paper-qutrit")
     statistics = threshold._symmetric_statistics
     lp, zero = lp_and_zero_basis(cfg, statistics, cap=False)
@@ -680,3 +681,117 @@ def test_dual_simplex_that_cannot_finish_falls_back(monkeypatch, lp, start):
         assert warm.objective_value == pytest.approx(scipy_value(lp)[1], abs=1e-12)
     else:
         assert cold.status == "infeasible" and scipy_value(lp)[0] == 2
+
+
+def paper_qutrit_scan_solution(alice_setting=(0.0, 0.0, 0.0)):
+    """The solution of the scan's V* LP (probability matching) at the
+    paper-qutrit settings, with Alice's first setting replaced."""
+    cfg = builtin_config("paper-qutrit")
+    alice = (alice_setting, cfg.alice_settings[1])
+    phases = settings_arrays(ExperimentConfig(3, alice, cfg.bob_settings))
+    return threshold._uncapped_visibility(threshold._symmetric_statistics, *phases, None)[2]
+
+
+def resolved(monkeypatch, lp, previous):
+    """solve(lp) from the solution ``previous`` and from its basis as an index
+    list, and the verdicts of _dual_optimize in each."""
+    verdicts = []
+    dual_optimize = simplex._dual_optimize
+
+    def spy(*args):
+        verdicts.append(dual_optimize(*args))
+        return verdicts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_dual_optimize", spy)
+        resumed = solve(lp, starts=[previous])
+        from_basis = solve(lp, starts=[list(previous.basis)])
+    return resumed, from_basis, verdicts
+
+
+def cap_lp():
+    """The LP of the "cap" case above, whose basis (3, 4) is dual feasible,
+    with a rhs at which that basis is optimal (x_3 = x_4 = 1)."""
+    a = np.array([[-3.0, 1.0, -2.0, 0.0, -1.0], [1.0, -3.0, -1.0, 1.0, 2.0]])
+    return LinearProgram([-1.0, -1.0, -1.0, -3.0, -2.0], a, a[:, [3, 4]] @ [1.0, 1.0])
+
+
+@pytest.mark.parametrize("case", ["no pivot", "dual pivots", "cap"])
+def test_solution_start_matches_its_basis_as_a_start(monkeypatch, case):
+    if case == "cap":
+        previous = solve(cap_lp())
+        assert sorted(previous.basis) == [3, 4]
+        lp = previous.lp.with_rhs([-1.0, -3.0])
+    else:
+        previous = paper_qutrit_scan_solution()
+        moved = paper_qutrit_scan_solution((0.0, 0.1, 0.0)).lp.rhs
+        rhs = previous.lp.rhs + 1e-3 * np.ones(previous.lp.n_rows) if case == "no pivot" else moved
+        lp = previous.lp.with_rhs(rhs)
+    resumed, from_basis, verdicts = resolved(monkeypatch, lp, previous)
+    # the dual simplex runs only for a start that is not primal feasible, and
+    # a solution start that is needs no call to find that out
+    pivots = [None if verdict is None else verdict[0] for verdict in verdicts]
+    assert pivots == {"no pivot": [0], "dual pivots": [1, 1], "cap": [None, None]}[case]
+    assert resumed.status == from_basis.status == "optimal"
+    assert (resumed.basis, resumed.iterations) == (from_basis.basis, from_basis.iterations)
+    assert np.max(np.abs(resumed.x - from_basis.x)) <= 1e-13
+    assert np.max(np.abs(resumed.dual - from_basis.dual)) <= 1e-13
+    assert_dual_certifies(lp, resumed)
+    assert check_certificate(lp, resumed).passed
+
+
+def test_solution_start_that_stays_feasible_needs_no_factorization(monkeypatch):
+    # A, c and B^-1 are the previous solve's, whose reduced costs it verified:
+    # no LAPACK call, no pricing, and the same dual
+    previous = paper_qutrit_scan_solution()
+    lp = previous.lp.with_rhs(previous.lp.rhs + 1e-3)
+    calls = []
+    for module, name in ((np.linalg, "solve"), (simplex, "_optimize"), (simplex, "_factorize")):
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    resumed = solve(lp, starts=[previous])
+    assert calls == []
+    assert resumed.status == "optimal" and resumed.iterations == 0
+    assert resumed.basis == previous.basis
+    assert np.array_equal(resumed.dual, previous.dual)
+    assert resumed.lp is lp
+    assert np.array_equal(resumed.inverse, previous.inverse)
+    assert not resumed.inverse.flags.writeable
+    assert_dual_certifies(lp, resumed)
+    # a re-solve from that solution again makes no call
+    assert solve(lp.with_rhs(lp.rhs + 1e-3), starts=[resumed]).status == "optimal"
+    assert calls == []
+
+
+def test_solution_start_of_another_lp_is_refused():
+    previous = paper_qutrit_scan_solution()
+    a, b, c = previous.lp.constraint_matrix, previous.lp.rhs, previous.lp.objective
+    rank_deficient = solve(full_probability_lp(2, None))
+    assert rank_deficient.status == "optimal" and rank_deficient.inverse is None
+    for lp, start in (
+        # equal A and c, but copies: only with_rhs shares them
+        (LinearProgram(c, a, b), previous),
+        (LinearProgram(2.0 * c, a, b), previous),
+        (LinearProgram(c, 2.0 * a, b), previous),
+        # a solution on reduced rows carries no B^-1 of the original rows
+        (full_probability_lp(2, None), rank_deficient),
+        (previous.lp, LPSolution("failed", math.nan, None, math.nan, 0, "forced")),
+    ):
+        with pytest.raises(ValueError, match="^a solution start must carry"):
+            solve(lp, starts=[start])
+
+
+def test_with_rhs_shares_a_and_c_and_checks_only_the_rhs():
+    lp = LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0])
+    moved = lp.with_rhs([2.0])
+    assert moved.objective is lp.objective and moved.constraint_matrix is lp.constraint_matrix
+    assert np.array_equal(moved.rhs, [2.0]) and not moved.rhs.flags.writeable
+    assert np.array_equal(lp.rhs, [1.0])
+    assert solve(moved).objective_value == pytest.approx(2.0, abs=1e-12)
+    for rhs, message in (([1.0, 2.0], "^rhs of shape"), ([math.inf], "^rhs contains")):
+        with pytest.raises(ValueError, match=message):
+            lp.with_rhs(rhs)

@@ -503,7 +503,7 @@ def central_difference(function, cfg, step=1e-6):
 
 
 def uncapped_visibility(cfg, statistics):
-    """V*, the block prices and the basis of cfg's uncapped LP, solved cold."""
+    """V*, the block prices and the solution of cfg's V* LP, solved cold."""
     return threshold._uncapped_visibility(statistics, *settings_arrays(cfg), None)
 
 
@@ -570,9 +570,15 @@ def test_visibility_gradient_matches_central_differences():
     assert checked >= 24
 
 
+def charnes_cooper_lp(block, matched, offset):
+    """The scan's V* LP, max -1.u s.t. (block - offset) u = matched - offset,
+    u >= 0, whose optimum is -1/V*."""
+    return LinearProgram(-np.ones(block.shape[1]), block - offset, matched - offset)
+
+
 def config_route(dimension, vector, method):
-    """The uncapped LP of a scan probe, and dmatched/dphase, built from the
-    config of its phase vector through quantum's config-level functions."""
+    """The V* LP of a scan probe, and dmatched/dphase, built from the config
+    of its phase vector through quantum's config-level functions."""
     cfg = threshold._vector_config(dimension, vector)
     uses = threshold._settings_pairs(cfg.n_alice, cfg.n_bob)[1]
     if method == "corr":
@@ -588,7 +594,7 @@ def config_route(dimension, vector, method):
         by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
         derivatives = by_phase.reshape(-1, *uses.shape[1:], dimension)
         offset = 1.0 / dimension
-    return threshold._visibility_lp(block, matched, offset, cap=False), derivatives
+    return charnes_cooper_lp(block, matched, offset), derivatives
 
 
 SCAN_ROUTES = dict(zip(("corr", "prob"), DERIVATIVES))
@@ -596,15 +602,13 @@ SCAN_ROUTES = dict(zip(("corr", "prob"), DERIVATIVES))
 
 @pytest.mark.parametrize("method", ["corr", "prob"])
 def test_scan_probe_route_matches_the_config_route_bit_for_bit(monkeypatch, method):
-    # a scan probe goes from its phase vector to the LP's V column and prices
+    # a scan probe goes from its phase vector to the LP's rhs and prices
     # without building a config; the config of the same vector gives the same
     # LP, V*, prices and gradient
     statistics, derivative = SCAN_ROUTES[method]
     rng = np.random.default_rng(20261026)
-    monkeypatch.setattr(threshold, "_START_BASES", {})
     lps = recorded_solves(monkeypatch)
     for dimension in (2, 3, 4, 5, 6):
-        key = (statistics, False, dimension, 2, 2)
         for _ in range(3):
             vector = rng.uniform(0.0, 2.0 * math.pi, 4 * (dimension - 1))
             phases = threshold._vector_phases(dimension, vector)
@@ -613,15 +617,15 @@ def test_scan_probe_route_matches_the_config_route_bit_for_bit(monkeypatch, meth
             gradient = v * np.tensordot(prices, derivative(alice, bob), axes=1)
             lp, derivatives = config_route(dimension, vector, method)
             assert lp_bits(lps[-1]) == lp_bits(lp)
-            zero = threshold._START_BASES[key]
-            expected = solve(lp, starts=[zero] if zero is not None else [])
+            # a probe without a previous solution solves cold
+            expected = solve(lp)
             assert expected.status == "optimal"
-            k = lp.n_cols - 1
-            assert v == expected.x[k]
-            assert np.array_equal(prices, expected.dual[: len(prices)])
+            expected_v = -1.0 / expected.objective_value
+            assert v == expected_v
+            assert np.array_equal(prices, expected_v * expected.dual)
             assert np.array_equal(derivative(alice, bob), derivatives)
-            expected_gradient = expected.x[k] * np.tensordot(
-                expected.dual[: len(prices)], derivatives, axes=1
+            expected_gradient = expected_v * np.tensordot(
+                expected_v * expected.dual, derivatives, axes=1
             )
             assert np.array_equal(gradient, expected_gradient)
 
@@ -641,16 +645,52 @@ def test_scan_builds_configs_only_for_its_results(monkeypatch):
     assert result.best_config == original(*built[-1])
 
 
+@pytest.mark.parametrize("method", ["corr", "prob"])
+def test_charnes_cooper_visibility_is_the_uncapped_optimum(method):
+    # 1/V* = min 1.u s.t. (block - offset) u = matched - offset, u >= 0 is the
+    # uncapped LP max V with u = p/V; its dual, scaled by V*, is that LP's
+    # block prices wherever they are unique
+    statistics, _ = SCAN_ROUTES[method]
+    rng = np.random.default_rng(20261027)
+    unique = 0
+    for dimension in (2, 3, 4, 5, 6):
+        for draw in (random_config, near_optimal_config, random_config):
+            alice, bob = settings_arrays(draw(rng, dimension))
+            _, _, block, _, matched, offset = statistics(alice, bob)
+            uncapped = solve(threshold._visibility_lp(block, matched, offset, cap=False))
+            assert uncapped.status == "optimal"
+            v, prices, solution = threshold._uncapped_visibility(statistics, alice, bob, None)
+            assert v == pytest.approx(uncapped.objective_value, rel=1e-12)
+            assert_dual_certifies(charnes_cooper_lp(block, matched, offset), solution)
+            if uncapped.x[list(uncapped.basis)].min() > 1e-6:
+                assert np.max(np.abs(prices - uncapped.dual[: len(block)])) <= 1e-12 * v
+                unique += 1
+    assert unique >= 10
+
+
+def test_infeasible_visibility_lp_raises(monkeypatch):
+    # V* = 0 would leave the LP infeasible; no phases give it, and a solve
+    # that says so, or any optimum that is not negative, must not pass
+    alice, bob = settings_arrays(builtin_config("paper-qutrit"))
+    for solution in (
+        LPSolution("infeasible", math.nan, None, math.nan, 0, "forced"),
+        LPSolution("optimal", 0.0, np.zeros(27), 0.0, 0, "", (), np.zeros(8)),
+    ):
+        monkeypatch.setattr(threshold, "solve", lambda *args, _s=solution, **kwargs: _s)
+        with pytest.raises(SolverFailure, match=f"^scan LP ended with status {solution.status}"):
+            threshold._uncapped_visibility(threshold._symmetric_statistics, alice, bob, None)
+
+
 def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
     cfg = ExperimentConfig(
         2,
         ((0.0, 0.0), (0.0, -math.pi)),
         ((0.0, -math.pi / 2), (0.0, math.pi / 2)),
     )
-    v, prices, basis = uncapped_visibility(cfg, threshold._symmetric_statistics)
+    v, prices, solution = uncapped_visibility(cfg, threshold._symmetric_statistics)
     assert v == math.inf
     assert not prices.any()
-    assert basis is None
+    assert solution is None
 
 
 def test_scan_probes_build_no_derivatives(monkeypatch):
@@ -691,9 +731,8 @@ def test_scan_keeps_the_start_where_every_uncapped_lp_is_unbounded(monkeypatch):
 
 
 def test_scan_solves_often_start_optimal(monkeypatch):
-    # each uncapped LP tries its restart's previous optimal basis first, which
-    # is often still optimal: 47 of 81 solves take no pivot (0 of 81 from the
-    # V=0 basis alone)
+    # each V* LP starts from its restart's previous solution, which is often
+    # still optimal: 53 of 80 solves take no pivot
     pivots = []
     original = threshold.solve
 
@@ -768,26 +807,20 @@ def lp_bits(lp):
 
 
 def test_every_threshold_lp_is_built_by_visibility_lp(monkeypatch):
+    # every driver LP, and the scan's V* LP in its Charnes-Cooper form
     cfg = random_config(np.random.default_rng(20261019), 3)
 
     def built(statistics, cap):
         _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
         return threshold._visibility_lp(block, matched, offset, cap=cap)
 
-    runs = [
+    drivers = [
         (lambda: correlation_threshold(cfg), correlation_lp(cfg)[0]),
         (lambda: probability_threshold(cfg), built(threshold._symmetric_statistics, True)),
-    ] + [
-        # one scan step: the uncapped LP the scan's objective solves
-        (
-            lambda statistics=statistics: uncapped_visibility(cfg, statistics),
-            built(statistics, False),
-        )
-        for statistics in (threshold._correlation_statistics, threshold._symmetric_statistics)
     ]
     monkeypatch.setattr(threshold, "_START_BASES", {})
     lps = recorded_solves(monkeypatch)
-    for run, expected in runs:
+    for run, expected in drivers:
         k = int(np.flatnonzero(expected.objective)[0])  # V, the objective's only column
         zero = LinearProgram(
             np.zeros(expected.n_cols - 1),
@@ -801,21 +834,28 @@ def test_every_threshold_lp_is_built_by_visibility_lp(monkeypatch):
         run()
         assert [lp_bits(lp) for lp in lps] == [lp_bits(expected)]
         lps.clear()
-    assert len(threshold._START_BASES) == len(runs)
+    # one scan step solves its V* LP alone: it has no V=0 LP
+    for statistics in (threshold._correlation_statistics, threshold._symmetric_statistics):
+        _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
+        for _ in range(2):
+            uncapped_visibility(cfg, statistics)
+            assert [lp_bits(lp) for lp in lps] == [
+                lp_bits(charnes_cooper_lp(block, matched, offset))
+            ]
+            lps.clear()
+    assert len(threshold._START_BASES) == len(drivers)
 
 
 def test_scan_records_failed_restart_as_nan(monkeypatch):
     unpatched = scan(3, 2, 0, "prob").history
-    # an empty start cache makes call 1 its V=0 basis; call 3 is restart 0's
-    # second uncapped LP
-    monkeypatch.setattr(threshold, "_START_BASES", {})
+    # call 1 is restart 0's first V* LP, solved cold, and call 2 its second
     calls = 0
     original = threshold.solve
 
     def fails_once(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return forced_failure() if calls == 3 else original(*args, **kwargs)
+        return forced_failure() if calls == 2 else original(*args, **kwargs)
 
     monkeypatch.setattr(threshold, "solve", fails_once)
     history = scan(3, 2, 0, "prob").history
@@ -874,11 +914,14 @@ def test_probability_scan_has_no_failed_restart():
 
 
 def test_probability_scan_at_n5_reaches_its_optimum(monkeypatch):
-    # its 18x127 and 17x126 symmetric LPs are the smallest the solver reduces
-    # to their row space through the eigenvectors of A A^T
+    # its 16x125 V* LPs, solved cold at each restart's first probe, and the
+    # 18x126 V=0 LP of the capped threshold, which an empty start cache makes
+    # it solve, are the smallest LPs the solver reduces to their row space
+    # through the eigenvectors of A A^T
+    monkeypatch.setattr(threshold, "_START_BASES", {})
     shapes = record_shapes(monkeypatch, "eigh")
     history = scan(5, 4, 7, "prob").history
-    assert {rows for rows, _ in shapes} >= {17, 18}
+    assert {rows for rows, _ in shapes} >= {16, 18}
     assert not any(math.isnan(f) for _, f in history)
     assert max(f for _, f in history) == pytest.approx(0.3128434256, abs=1e-9)
 
@@ -940,8 +983,8 @@ def test_scan_restarts_ignore_roundoff_in_visibility(monkeypatch, pool_histories
         shifts = itertools.cycle(pattern)
 
         def nudged_visibility(*args):
-            v, prices, basis = uncapped(*args)
-            return v + next(shifts), prices, basis
+            v, prices, solution = uncapped(*args)
+            return v + next(shifts), prices, solution
 
         monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
         for seed in POOL_SEEDS:
@@ -962,8 +1005,8 @@ def test_line_search_ignores_roundoff_at_every_nudge_phase(monkeypatch):
             shifts = itertools.cycle(pattern[offset:] + pattern[:offset])
 
             def nudged_visibility(*args, _shifts=shifts):
-                v, prices, basis = uncapped(*args)
-                return v + next(_shifts), prices, basis
+                v, prices, solution = uncapped(*args)
+                return v + next(_shifts), prices, solution
 
             monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
             assert scan(3, 1, 6, "prob").history[0][1] == pytest.approx(reference, abs=1e-9)
