@@ -9,7 +9,9 @@ threshold problems in this package rather than generality:
   LP with the same A and c, whose verified basis inverse is dual feasible
   for any b and takes the place of a factorization.  Starts are tried on
   the original rows only: one that factorizes proves them independent, and
-  a rank-deficient LP accepts none;
+  a rank-deficient LP accepts none.  ``BasisPool`` keeps such solutions for
+  a family of right-hand sides and answers from one that stays primal
+  feasible without a solve;
 - only when no start is accepted are the rows reduced to an orthonormal
   basis of A's row space.  Only some threshold LPs need it: the full
   probability LPs are rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83
@@ -86,18 +88,23 @@ class LinearProgram:
             arr.setflags(write=False)
         self.objective, self.constraint_matrix, self.rhs = c, a, b
 
-    def with_rhs(self, rhs) -> LinearProgram:
-        """This LP with the right-hand side ``rhs``, sharing its frozen A and
-        c, so that ``solve`` may start it from a solution of this one; only
-        rhs is validated."""
+    def checked_rhs(self, rhs) -> np.ndarray:
+        """``rhs`` as a frozen array, if it is a finite right-hand side for
+        this LP's rows; else ValueError."""
         b = np.array(rhs, dtype=float)
         if b.shape != self.rhs.shape:
             raise ValueError(f"rhs of shape {b.shape} for {self.n_rows} rows")
         if not np.isfinite(b).all():
             raise ValueError("rhs contains non-finite entries")
-        b.setflags(write=False)
+        return _frozen(b)
+
+    def with_rhs(self, rhs) -> LinearProgram:
+        """This LP with the right-hand side ``rhs``, sharing its frozen A and
+        c, so that ``solve`` may start it from a solution of this one; only
+        rhs is validated."""
         lp = object.__new__(LinearProgram)
-        lp.objective, lp.constraint_matrix, lp.rhs = self.objective, self.constraint_matrix, b
+        lp.objective, lp.constraint_matrix = self.objective, self.constraint_matrix
+        lp.rhs = self.checked_rhs(rhs)
         return lp
 
     @property
@@ -286,16 +293,15 @@ def _dual_optimize(
 
 def _accepted_start(
     b: np.ndarray, original, starts: list, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | LPSolution] | None:
-    """[B^-1 | x_B], the basis, the dual simplex pivots, min(x_B, 0) and the
-    start itself of the first of ``starts`` that is primal feasible as it is
-    or after ``_dual_optimize`` (which pivots the start in place); None if no
-    start is.  ``original()`` gives [A | I | b] and max|A_ij|.
+) -> tuple[np.ndarray, np.ndarray, int, float] | None:
+    """[B^-1 | x_B], the basis, the dual simplex pivots and min(x_B, 0) of
+    the first of ``starts`` that is primal feasible as it is or after
+    ``_dual_optimize`` (which pivots the start in place); None if no start
+    is.  ``original()`` gives [A | I | b] and max|A_ij|.
 
     A basis must have one column per row and pass ``_factorize``; a previous
     solution gives its verified B^-1 as it is, and x_B = B^-1 b, which must
-    pass _factorize's bound of 1e8 on every entry.  A solution start that is
-    primal feasible needs neither of ``original()``."""
+    pass _factorize's bound of 1e8 on every entry."""
     m = b.size
     for start in starts:
         if isinstance(start, LPSolution):
@@ -307,7 +313,7 @@ def _accepted_start(
                 continue
             lowest = float(inverse[:, m].min(initial=0.0))
             if not lowest < -CERTIFICATE_VARIABLE_TOL:
-                return inverse, basis, 0, lowest, start
+                return inverse, basis, 0, lowest
         else:
             basis = start
             data, a_max = original()
@@ -317,7 +323,7 @@ def _accepted_start(
         data = original()[0]
         verdict = _dual_optimize(data[:, : c.size], c, inverse, basis)
         if verdict is not None:
-            return inverse, basis, *verdict, start
+            return inverse, basis, *verdict
     return None
 
 
@@ -432,24 +438,24 @@ def solve(
     basic value below -CERTIFICATE_VARIABLE_TOL or, having no reduced cost
     above PIVOT_TOL, reach such values within m dual simplex pivots
     (``_dual_optimize``, on a copy of a solution's B^-1), whose basis phase
-    2 refactorizes.  A solution's basis is dual feasible by construction:
-    A, c and B^-1 are those its reduced costs were verified with.  So when
-    it stays primal feasible, the solve ends with no factorization and no
-    pricing, and takes the solution's dual.  An accepted start replaces
-    phase 1 and proves the rows independent, so they are not reduced; a
-    rank-deficient LP accepts none.  A rejected candidate leaves the solve
-    as it was.  If none is accepted, the equalities are replaced by an
-    orthonormal basis of their row space, so redundant rows never reach the
-    basis and every phase-1 artificial leaves it, and phase 1 runs on them,
-    reflected by ``_reflected``.  Phase 2 starts from a basis factorized on
-    the unreflected rows, the original ones at full row rank, so a solve
-    from a starting basis and a solve without starts that ends in that
-    basis agree bit for bit.  An optimal solution carries its ``basis``, a
-    start for LPs with the same A, b when A has full row rank, and its
-    ``dual`` y over the original rows (b.y is the optimum and c - A^T y <=
-    0): the prices c_B B^-1 from the verified final basis inverse, mapped
-    back by U when phase 2 ran on reduced rows.  When phase 2 ran on the
-    original rows it also carries that ``inverse`` and its ``lp``.
+    2 refactorizes.  A solution's basis is dual feasible by construction: A,
+    c and B^-1 are those its reduced costs were verified with.  So when it
+    stays primal feasible, phase 2 prices it once and ends with no
+    factorization; ``BasisPool`` answers that case without a solve.  An
+    accepted start replaces phase 1 and proves the rows independent, so they
+    are not reduced; a rank-deficient LP accepts none.  A rejected candidate
+    leaves the solve as it was.  If none is accepted, the equalities are
+    replaced by an orthonormal basis of their row space, so redundant rows
+    never reach the basis and every phase-1 artificial leaves it, and phase
+    1 runs on them, reflected by ``_reflected``.  Phase 2 starts from a
+    basis factorized on the unreflected rows, the original ones at full row
+    rank, so a solve from a starting basis and a solve without starts that
+    ends in that basis agree bit for bit.  An optimal solution carries its
+    ``basis``, a start for LPs with the same A, b when A has full row rank,
+    and its ``dual`` y over the original rows (b.y is the optimum and c -
+    A^T y <= 0): the prices c_B B^-1 from the verified final basis inverse,
+    mapped back by U when phase 2 ran on reduced rows.  When phase 2 ran on
+    the original rows it also carries that ``inverse`` and its ``lp``.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
@@ -554,12 +560,8 @@ def solve(
     # x = 0, passes phase 1 and only the ray check stops phase 2's "unbounded".
     # ``lowest`` is min(x_B, 0) of ``inverse``, or None until it is taken
     if accepted is not None:
-        inverse, basis, pivots, lowest, start = accepted
+        inverse, basis, pivots, lowest = accepted
         iterations += pivots
-        if not pivots and isinstance(start, LPSolution):
-            # A, c and B^-1 are those the start's reduced costs and dual were
-            # verified with, so it is optimal as it is
-            return optimum(start.dual)
         factorized = pivots == 0
     # the reduced rows replace the original ones only when no start is accepted
     data, a_max = original()
@@ -631,6 +633,76 @@ def solve(
     if status != "optimal":
         return unsolved("failed", f"phase 2 {status}")
     return optimum(prices)
+
+
+class BasisPool:
+    """The optimal bases verified for LPs that share ``lp``'s A and c, each
+    kept as the solution ``solve`` verified it in.
+
+    With A and c fixed, a verified basis is dual feasible for every rhs, so
+    it is optimal for any rhs it stays primal feasible for.  ``solve(rhs)``
+    tries the basis that answered the last LP first, with its own x_B =
+    B^-1 b, then the others in the order they joined, with one product over
+    their stacked inverses.  The first basis whose x_B has no entry above
+    1e8 and none below -CERTIFICATE_VARIABLE_TOL, and whose x meets the
+    original rows to CERTIFICATE_RESIDUAL_TOL, answers with no pivot and no
+    factorization: its x, the dual its solve verified, and no ``lp`` or
+    ``inverse`` of its own.  When none does, ``solve`` re-solves the LP from
+    the last basis's solution (cold while the pool is empty), and an
+    optimal result with a B^-1 joins the pool.
+    """
+
+    def __init__(self, lp: LinearProgram) -> None:
+        self.lp = lp
+        self.solutions: list[LPSolution] = []  # in the order they joined
+        self._inverses = np.empty((0, lp.n_rows))  # their B^-1, stacked
+        self._last = -1  # the index of the basis that answered the last LP
+
+    def solve(self, rhs) -> LPSolution:
+        """The optimum of ``lp`` at the right-hand side ``rhs``."""
+        b = self.lp.checked_rhs(rhs)
+        if self.solutions:
+            last = self._last
+            answer = self._answer(last, self.solutions[last].inverse @ b, b)
+            if answer is None:
+                stacked = (self._inverses @ b).reshape(-1, b.size)
+                passing = (np.abs(stacked).max(axis=1) <= 1e8) & (
+                    stacked.min(axis=1) >= -CERTIFICATE_VARIABLE_TOL
+                )
+                passing[last] = False
+                for index in passing.nonzero()[0].tolist():
+                    answer = self._answer(index, stacked[index], b)
+                    if answer is not None:
+                        break
+            if answer is not None:
+                return answer
+        starts = [self.solutions[self._last]] if self.solutions else []
+        solution = solve(self.lp.with_rhs(b), starts=starts)
+        if solution.status == "optimal" and solution.inverse is not None:
+            self._last = len(self.solutions)
+            self.solutions.append(solution)
+            self._inverses = np.concatenate([self._inverses, solution.inverse])
+        return solution
+
+    def _answer(self, index: int, values: np.ndarray, b: np.ndarray) -> LPSolution | None:
+        """The optimum at ``b`` of pooled basis ``index``, whose x_B are
+        ``values``, if it passes the checks; then it answers the next LP
+        first."""
+        if not (
+            np.abs(values).max(initial=0.0) <= 1e8
+            and values.min(initial=0.0) >= -CERTIFICATE_VARIABLE_TOL
+        ):
+            return None
+        pooled = self.solutions[index]
+        x = np.zeros(self.lp.n_cols)
+        x[list(pooled.basis)] = values
+        residual = float(np.abs(self.lp.constraint_matrix @ x - b).max(initial=0.0))
+        if residual > CERTIFICATE_RESIDUAL_TOL:
+            return None
+        self._last = index
+        return LPSolution(
+            "optimal", float(self.lp.objective @ x), x, residual, 0, "", pooled.basis, pooled.dual
+        )
 
 
 def check_certificate(lp: LinearProgram, solution: LPSolution) -> CertificateReport:

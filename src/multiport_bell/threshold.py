@@ -23,13 +23,15 @@ largest threshold with seeded random restarts.  Each restart minimizes V*,
 the optimum of the drivers' LP without the cap on V, which keeps changing
 where the capped V_thr sits at 1: one golden-section sweep over every phase
 on V* alone, then BFGS on the gradient the LP's optimal dual gives in
-closed form.  The scan solves V* in the Charnes-Cooper variables u = p/V,
-t = 1/V: 1/V* = min 1.u s.t. (block - offset) u = matched - offset, u >= 0,
-whose A and c are one frozen LP per shape, so that only the right-hand side
-depends on the phases.  A restart's first LP is solved cold, and each later
-one from the previous solution's verified basis inverse, which is dual
-feasible for every right-hand side: it ends with no factorization where it
-stays primal feasible, else after a few dual simplex pivots.
+closed form, contracted with the prices one settings pair at a time.  The
+scan solves V* in the Charnes-Cooper variables u = p/V, t = 1/V:
+1/V* = min 1.u s.t. (block - offset) u = matched - offset, u >= 0, whose A
+and c are one frozen LP per shape, so that only the right-hand side depends
+on the phases and every verified basis is dual feasible for every probe.
+Each restart keeps the bases its LPs verified in a ``simplex.BasisPool``:
+its first LP is solved cold, and a later one is answered with no pivot and
+no factorization by a pooled basis that stays primal feasible, else after a
+few dual simplex pivots from the last one.
 
 The drivers' capped LPs keep V as a column, so each shape's V=0 LP
 (statistics, cap, N, n_alice, n_bob) is solved once as their start.  The
@@ -59,7 +61,7 @@ from .quantum import (
     settings_arrays,
 )
 from .quantum import correlation_matrix  # noqa: F401  perfbench traces it under this name
-from .simplex import CERTIFICATE_RESIDUAL_TOL, LinearProgram, LPSolution, SolverFailure, solve
+from .simplex import CERTIFICATE_RESIDUAL_TOL, BasisPool, LinearProgram, SolverFailure, solve
 from .strategies import (
     DeterministicStrategy,
     enumerate_strategies,
@@ -377,55 +379,68 @@ def probability_threshold(config: ExperimentConfig) -> ThresholdResult:
 # envelope theorem dV*/dphase = V* * prices . dmatched/dphase, with prices
 # = V* y and y that LP's optimal dual (they are the uncapped LP's block duals).
 # The LP comes from the drivers' statistics functions; each
-# derivatives(alice, bob) gives dmatched/dphase as (rows, n_alice + n_bob, N):
-# the derivative by port m's phase of each of Alice's and then Bob's settings.
+# derivatives(alice, bob, prices) gives prices . dmatched/dphase as
+# (n_alice + n_bob, N), the derivative by port m's phase of each of Alice's
+# and then Bob's settings: a pair's rows depend on phi_m + theta_m alone, so
+# the prices are contracted with each pair's derivative rows once, as
+# (pairs, N), and spread over the two settings the pair uses.
 
 
-def _correlation_derivatives(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Correlation matching: the ``_real_rows`` of the values' derivatives."""
+def _correlation_derivatives(
+    alice: np.ndarray, bob: np.ndarray, prices: np.ndarray
+) -> np.ndarray:
+    """Correlation matching: the prices of the real and then the imaginary
+    ``_real_rows`` against the real and imaginary parts of the values'
+    derivatives."""
     uses = _settings_pairs(len(alice), len(bob))[1]
-    by_phase = correlation_derivatives_at(alice, bob)[:, None, :] * uses[:, :, None]
-    return _real_rows(by_phase, alice.shape[1])
+    by_port = correlation_derivatives_at(alice, bob)
+    rows = _real_rows(by_port, alice.shape[1]).reshape(-1, *by_port.shape)
+    per_pair = np.einsum("kp,kpm->pm", prices.reshape(rows.shape[:2]), rows)
+    return uses.T @ per_pair
 
 
-def _symmetric_derivatives(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+def _symmetric_derivatives(
+    alice: np.ndarray, bob: np.ndarray, prices: np.ndarray
+) -> np.ndarray:
     """Probability matching over shift orbits: N*P0(0, s) for s = 0..N-2 per pair."""
     n = alice.shape[1]
     uses = _settings_pairs(len(alice), len(bob))[1]
     by_port = n * coincidence_derivatives_at(alice, bob)
-    by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
-    return by_phase.reshape(-1, *uses.shape[1:], n)
+    per_pair = np.einsum("ps,psm->pm", prices.reshape(len(uses), n - 1), by_port[:, :-1])
+    return uses.T @ per_pair
 
 
 def _uncapped_visibility(
-    statistics, alice: np.ndarray, bob: np.ndarray, previous: LPSolution | None
-) -> tuple[float, np.ndarray, LPSolution | None]:
-    """V*, the prices of the LP block rows and the solution to start the
-    next probe from, solved from the solution ``previous`` if given, else
-    cold; V* = inf with zero prices and no solution where the statistics
-    are uniform.
+    statistics, alice: np.ndarray, bob: np.ndarray, previous: BasisPool | None
+) -> tuple[float, np.ndarray, BasisPool | None]:
+    """V*, the prices of the LP block rows and the pool of verified bases to
+    answer the next probe from: ``previous``, or a new pool of the shape's
+    LP that solves this probe cold; V* = inf with zero prices, and the pool
+    as it was, where the statistics are uniform.
 
     V* solves the Charnes-Cooper form of the uncapped LP (u = p/V, t = 1/V):
     1/V* = min 1.u s.t. (block - offset) u = matched - offset, u >= 0.  A and
     c are one frozen LP per shape, kept in ``_SCAN_LPS``, so that only the
-    rhs depends on the phases and the previous solution's verified B^-1
-    starts the solve.  With y the LP's dual, the prices V* y make
+    rhs depends on the phases and every basis the pool has verified is dual
+    feasible for it.  With y the LP's dual, the prices V* y make
     V* prices . dmatched/dphase the gradient of V*.  Where u = 0 meets the
     rhs to the certificate's residual tolerance, V* is unbounded to working
     accuracy.  An LP that ends other than optimal (V* = 0 leaves it
     infeasible), or at an optimum that is not negative, raises SolverFailure.
     """
     strategies, _, block, _, matched, offset = statistics(alice, bob)
-    key = (statistics, alice.shape[1], len(alice), len(bob))
-    if key not in _SCAN_LPS:
-        _SCAN_LPS[key] = LinearProgram(
-            -np.ones(len(strategies)), block - offset, np.zeros(len(block))
-        )
     rhs = matched - offset
     if not np.abs(rhs).max() > CERTIFICATE_RESIDUAL_TOL:
-        return math.inf, np.zeros(len(block)), None
-    starts = [previous] if previous is not None else []
-    solution = solve(_SCAN_LPS[key].with_rhs(rhs), starts=starts)
+        return math.inf, np.zeros(len(block)), previous
+    pool = previous
+    if pool is None:
+        key = (statistics, alice.shape[1], len(alice), len(bob))
+        if key not in _SCAN_LPS:
+            _SCAN_LPS[key] = LinearProgram(
+                -np.ones(len(strategies)), block - offset, np.zeros(len(block))
+            )
+        pool = BasisPool(_SCAN_LPS[key])
+    solution = pool.solve(rhs)
     # t = 0 would need u = 0, which the certified residual rules out
     if solution.status != "optimal" or not solution.objective_value < 0.0:
         raise SolverFailure(
@@ -433,7 +448,7 @@ def _uncapped_visibility(
             f"{solution.objective_value}: {solution.detail}"
         )
     v = -1.0 / solution.objective_value
-    return v, v * solution.dual, solution
+    return v, v * solution.dual, pool
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -559,9 +574,9 @@ def scan(
 
     def visibility(vector: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """V*, its block prices and the phases of the settings at vector."""
-        nonlocal previous
+        nonlocal pool
         phases = _vector_phases(dimension, vector)
-        v, prices, previous = _uncapped_visibility(statistics, phases[:2], phases[2:], previous)
+        v, prices, pool = _uncapped_visibility(statistics, phases[:2], phases[2:], pool)
         return v, prices, phases
 
     def objective(vector: np.ndarray) -> float:
@@ -571,14 +586,14 @@ def scan(
         v, prices, phases = visibility(vector)
         if v == math.inf:
             return -v, np.zeros(vector.size)
-        gradient = v * np.tensordot(prices, derivatives(phases[:2], phases[2:]), axes=1)
+        gradient = v * derivatives(phases[:2], phases[2:], prices)
         return -v, -gradient[:, 1:].reshape(-1)
 
     history: list[tuple[int, float]] = []
     best_value = -math.inf
     best_vector: np.ndarray | None = None
     for index in range(restarts):
-        previous = None  # the solution of the restart's last V* LP
+        pool = None  # the bases the restart's V* LPs have verified
         rng = np.random.default_rng([seed, index])
         vector = rng.uniform(0.0, 2.0 * math.pi, size=4 * (dimension - 1))
         try:

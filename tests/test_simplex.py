@@ -683,13 +683,19 @@ def test_dual_simplex_that_cannot_finish_falls_back(monkeypatch, lp, start):
         assert cold.status == "infeasible" and scipy_value(lp)[0] == 2
 
 
-def paper_qutrit_scan_solution(alice_setting=(0.0, 0.0, 0.0)):
-    """The solution of the scan's V* LP (probability matching) at the
-    paper-qutrit settings, with Alice's first setting replaced."""
+def paper_qutrit_scan_pool(alice_setting=(0.0, 0.0, 0.0)):
+    """The pool of the scan's V* LP (probability matching) after its cold
+    solve at the paper-qutrit settings, with Alice's first setting replaced."""
     cfg = builtin_config("paper-qutrit")
     alice = (alice_setting, cfg.alice_settings[1])
     phases = settings_arrays(ExperimentConfig(3, alice, cfg.bob_settings))
     return threshold._uncapped_visibility(threshold._symmetric_statistics, *phases, None)[2]
+
+
+def paper_qutrit_scan_solution(alice_setting=(0.0, 0.0, 0.0)):
+    """The solution of that cold solve."""
+    (solution,) = paper_qutrit_scan_pool(alice_setting).solutions
+    return solution
 
 
 def resolved(monkeypatch, lp, previous):
@@ -740,31 +746,166 @@ def test_solution_start_matches_its_basis_as_a_start(monkeypatch, case):
     assert check_certificate(lp, resumed).passed
 
 
-def test_solution_start_that_stays_feasible_needs_no_factorization(monkeypatch):
+def test_feasible_solution_start_is_priced_once_without_a_factorization(monkeypatch):
     # A, c and B^-1 are the previous solve's, whose reduced costs it verified:
-    # no LAPACK call, no pricing, and the same dual
+    # phase 2 prices the start once, makes no pivot and keeps its inverse
     previous = paper_qutrit_scan_solution()
     lp = previous.lp.with_rhs(previous.lp.rhs + 1e-3)
-    calls = []
-    for module, name in ((np.linalg, "solve"), (simplex, "_optimize"), (simplex, "_factorize")):
-
-        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+    calls = spied(monkeypatch, (np.linalg, "solve"), (simplex, "_optimize"), (simplex, "_factorize"))
     resumed = solve(lp, starts=[previous])
-    assert calls == []
+    assert calls == ["_optimize"]
     assert resumed.status == "optimal" and resumed.iterations == 0
     assert resumed.basis == previous.basis
-    assert np.array_equal(resumed.dual, previous.dual)
+    assert np.max(np.abs(resumed.dual - previous.dual)) <= 1e-13
     assert resumed.lp is lp
     assert np.array_equal(resumed.inverse, previous.inverse)
     assert not resumed.inverse.flags.writeable
     assert_dual_certifies(lp, resumed)
-    # a re-solve from that solution again makes no call
-    assert solve(lp.with_rhs(lp.rhs + 1e-3), starts=[resumed]).status == "optimal"
+
+
+def spied(monkeypatch, *targets) -> list[str]:
+    """The names of the (module or class, name) targets in the order they
+    are called from now on."""
+    calls = []
+    for owner, name in targets:
+
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def two_basis_pool():
+    """A pool of max -x0 - x1 s.t. 3 x0 - 3 x1 = b, after solves at b = 1
+    (basis (0,)) and b = -1 (basis (1,), now the last)."""
+    pool = simplex.BasisPool(LinearProgram([-1.0, -1.0], [[3.0, -3.0]], [0.0]))
+    for rhs, basis in (([1.0], (0,)), ([-1.0], (1,))):
+        assert pool.solve(rhs).basis == basis
+    assert [s.basis for s in pool.solutions] == [(0,), (1,)]
+    return pool
+
+
+@pytest.mark.parametrize("case", ["last basis", "stacked"])
+def test_pool_answer_matches_a_solve_from_its_basis(monkeypatch, case):
+    if case == "last basis":
+        pool = paper_qutrit_scan_pool()
+        rhs = pool.solutions[0].lp.rhs + 1e-3
+    else:
+        # the last basis, from the moved settings, leaves the paper-qutrit
+        # optimum; the first one answers there again
+        pool = paper_qutrit_scan_pool()
+        first = pool.solutions[0]
+        moved = paper_qutrit_scan_solution((0.0, 0.1, 0.0)).lp.rhs
+        assert pool.solve(moved).basis != first.basis
+        rhs = first.lp.rhs + 1e-4
+    lp = pool.lp.with_rhs(rhs)
+    calls = spied(monkeypatch, (simplex, "solve"))
+    answer = pool.solve(rhs)
     assert calls == []
+    from_basis = solve(lp, starts=[list(answer.basis)])
+    assert answer.status == from_basis.status == "optimal"
+    assert answer.basis == from_basis.basis and answer.iterations == 0
+    assert np.max(np.abs(answer.x - from_basis.x)) <= 1e-13
+    assert np.max(np.abs(answer.dual - from_basis.dual)) <= 1e-13
+    assert_dual_certifies(lp, answer)
+    assert check_certificate(lp, answer).passed
+    if case == "stacked":
+        assert answer.basis == first.basis
+        assert np.array_equal(answer.dual, first.dual)
+
+
+def test_pool_answer_needs_no_factorization(monkeypatch):
+    # the last basis and, after a miss, the stacked others answer with no
+    # LAPACK call, no pricing and no LinearProgram; the answer carries the
+    # verified dual of its basis and neither an lp nor an inverse
+    pool = paper_qutrit_scan_pool()
+    first = pool.solutions[0]
+    pool.solve(paper_qutrit_scan_solution((0.0, 0.1, 0.0)).lp.rhs)
+    calls = spied(
+        monkeypatch,
+        (np.linalg, "solve"),
+        (simplex, "_optimize"),
+        (simplex, "_factorize"),
+        (simplex, "solve"),
+        (LinearProgram, "__post_init__"),
+        (LinearProgram, "with_rhs"),
+    )
+    for shift in (1e-4, 2e-4):
+        answer = pool.solve(first.lp.rhs + shift)
+        assert answer.status == "optimal" and answer.iterations == 0
+        assert answer.basis == first.basis
+        assert answer.dual is first.dual
+        assert answer.lp is None and answer.inverse is None
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rhs, answered_by",
+    [
+        # x_B of basis (0,) is 1.3e8 / 3 to roundoff, whose residual is 1.5e-8,
+        # and (1,) is infeasible: the re-solve from the last basis fails
+        pytest.param([1.3e8], None, id="residual"),
+        # x_B of basis (0,) is 1.2e8, and of (1,) -1.2e8
+        pytest.param([3.6e8], None, id="bound"),
+        # x_B of basis (0,) is -1.33e-10, below -CERTIFICATE_VARIABLE_TOL, and
+        # (1,) answers
+        pytest.param([-4e-10], (1,), id="sign"),
+    ],
+)
+def test_pool_never_answers_from_a_basis_that_fails_a_check(monkeypatch, rhs, answered_by):
+    # basis (0,) fails a check at rhs, both as the last basis and in the
+    # stacked product
+    for last in ((0,), (1,)):
+        pool = two_basis_pool()
+        if last == (0,):
+            pool.solve([2.0])
+        assert pool.solutions[pool._last].basis == last
+        with monkeypatch.context() as patch:
+            calls = spied(patch, (simplex, "solve"))
+            answer = pool.solve(rhs)
+        if answered_by is None:
+            assert calls == ["solve"] and answer.status != "optimal"
+        else:
+            assert calls == [] and answer.basis == answered_by
+        assert [s.basis for s in pool.solutions] == [(0,), (1,)]
+
+
+def test_pool_miss_resolves_from_the_last_basis_and_pools_it_once(monkeypatch):
+    pool = simplex.BasisPool(LinearProgram([-1.0, -1.0], [[3.0, -3.0]], [0.0]))
+    starts_made = []
+    original = simplex.solve
+
+    def recording(lp, *, starts):
+        starts_made.append(starts)
+        return original(lp, starts=starts)
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    cold = pool.solve([1.0])
+    assert starts_made == [[]] and pool.solutions == [cold]
+    second = pool.solve([-1.0])
+    # the dual simplex re-solve from the last basis
+    assert len(starts_made) == 2 and len(starts_made[1]) == 1 and starts_made[1][0] is cold
+    assert second.iterations == 1 and second.basis == (1,)
+    assert pool.solutions == [cold, second]
+    # both bases now answer without a solve, and none joins again
+    for rhs in ([-2.0], [2.0], [-3.0]):
+        assert pool.solve(rhs).iterations == 0
+    assert len(starts_made) == 2 and pool.solutions == [cold, second]
+
+
+def test_pool_rejects_a_malformed_rhs():
+    pool = two_basis_pool()
+    for rhs, message in (
+        ([1.0, 2.0], "^rhs of shape"),
+        ([[1.0]], "^rhs of shape"),
+        ([math.inf], "^rhs contains"),
+        ([math.nan], "^rhs contains"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            pool.solve(rhs)
+    assert [s.basis for s in pool.solutions] == [(0,), (1,)]
 
 
 def test_solution_start_of_another_lp_is_refused():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from multiport_bell import threshold
+from multiport_bell import simplex, threshold
 from multiport_bell.quantum import (
     ExperimentConfig,
     correlation_derivatives,
@@ -503,7 +503,7 @@ def central_difference(function, cfg, step=1e-6):
 
 
 def uncapped_visibility(cfg, statistics):
-    """V*, the block prices and the solution of cfg's V* LP, solved cold."""
+    """V*, the block prices and the pool of cfg's V* LP, solved cold."""
     return threshold._uncapped_visibility(statistics, *settings_arrays(cfg), None)
 
 
@@ -534,9 +534,12 @@ def test_matched_phase_derivatives_match_central_differences():
     for cfg in configs:
         for statistics, derivative in DERIVATIVES:
             _, _, block, _, matched, _ = statistics(*settings_arrays(cfg))
-            derivatives = derivative(*settings_arrays(cfg))
-            # one derivative row per LP block row
+            # the price of one block row at a time recovers that row of the
+            # Jacobian, so every entry is checked
             assert len(block) == matched.size
+            derivatives = np.array(
+                [derivative(*settings_arrays(cfg), price) for price in np.eye(matched.size)]
+            )
             assert derivatives.shape == (matched.size, cfg.n_alice + cfg.n_bob, cfg.dimension)
             numeric = central_difference(lambda c: statistics(*settings_arrays(c))[4], cfg)
             assert np.max(np.abs(derivatives - numeric)) <= 1e-8
@@ -561,7 +564,7 @@ def test_visibility_gradient_matches_central_differences():
                 v, prices, _ = uncapped_visibility(cfg, statistics)
                 assert v == pytest.approx(solution.objective_value, abs=1e-12)
                 # the gradient the scan's BFGS objective forms
-                gradient = v * np.tensordot(prices, derivative(*settings_arrays(cfg)), axes=1)
+                gradient = v * derivative(*settings_arrays(cfg), prices)
                 numeric = central_difference(
                     lambda c: uncapped_visibility(c, statistics)[0], cfg
                 )
@@ -577,8 +580,9 @@ def charnes_cooper_lp(block, matched, offset):
 
 
 def config_route(dimension, vector, method):
-    """The V* LP of a scan probe, and dmatched/dphase, built from the config
-    of its phase vector through quantum's config-level functions."""
+    """The V* LP of a scan probe, and dmatched/dphase as (rows, 4, N), built
+    from the config of its phase vector through quantum's config-level
+    functions."""
     cfg = threshold._vector_config(dimension, vector)
     uses = threshold._settings_pairs(cfg.n_alice, cfg.n_bob)[1]
     if method == "corr":
@@ -614,20 +618,22 @@ def test_scan_probe_route_matches_the_config_route_bit_for_bit(monkeypatch, meth
             phases = threshold._vector_phases(dimension, vector)
             alice, bob = phases[:2], phases[2:]
             v, prices, _ = threshold._uncapped_visibility(statistics, alice, bob, None)
-            gradient = v * np.tensordot(prices, derivative(alice, bob), axes=1)
+            gradient = v * derivative(alice, bob, prices)
             lp, derivatives = config_route(dimension, vector, method)
             assert lp_bits(lps[-1]) == lp_bits(lp)
-            # a probe without a previous solution solves cold
+            # a probe without a pool solves cold
             expected = solve(lp)
             assert expected.status == "optimal"
             expected_v = -1.0 / expected.objective_value
             assert v == expected_v
             assert np.array_equal(prices, expected_v * expected.dual)
-            assert np.array_equal(derivative(alice, bob), derivatives)
-            expected_gradient = expected_v * np.tensordot(
-                expected_v * expected.dual, derivatives, axes=1
-            )
+            cfg = threshold._vector_config(dimension, vector)
+            expected_prices = expected_v * expected.dual
+            expected_gradient = expected_v * derivative(*settings_arrays(cfg), expected_prices)
             assert np.array_equal(gradient, expected_gradient)
+            # the contraction is the prices against the full Jacobian
+            full = expected_v * np.tensordot(expected_prices, derivatives, axes=1)
+            assert np.max(np.abs(gradient - full)) <= 1e-13 * max(1.0, np.abs(full).max())
 
 
 def test_scan_builds_configs_only_for_its_results(monkeypatch):
@@ -659,7 +665,8 @@ def test_charnes_cooper_visibility_is_the_uncapped_optimum(method):
             _, _, block, _, matched, offset = statistics(alice, bob)
             uncapped = solve(threshold._visibility_lp(block, matched, offset, cap=False))
             assert uncapped.status == "optimal"
-            v, prices, solution = threshold._uncapped_visibility(statistics, alice, bob, None)
+            v, prices, pool = threshold._uncapped_visibility(statistics, alice, bob, None)
+            (solution,) = pool.solutions
             assert v == pytest.approx(uncapped.objective_value, rel=1e-12)
             assert_dual_certifies(charnes_cooper_lp(block, matched, offset), solution)
             if uncapped.x[list(uncapped.basis)].min() > 1e-6:
@@ -676,7 +683,8 @@ def test_infeasible_visibility_lp_raises(monkeypatch):
         LPSolution("infeasible", math.nan, None, math.nan, 0, "forced"),
         LPSolution("optimal", 0.0, np.zeros(27), 0.0, 0, "", (), np.zeros(8)),
     ):
-        monkeypatch.setattr(threshold, "solve", lambda *args, _s=solution, **kwargs: _s)
+        # a restart's first V* LP is solved cold by its new pool
+        monkeypatch.setattr(simplex, "solve", lambda *args, _s=solution, **kwargs: _s)
         with pytest.raises(SolverFailure, match=f"^scan LP ended with status {solution.status}"):
             threshold._uncapped_visibility(threshold._symmetric_statistics, alice, bob, None)
 
@@ -687,23 +695,28 @@ def test_uncapped_visibility_is_unbounded_at_uniform_statistics():
         ((0.0, 0.0), (0.0, -math.pi)),
         ((0.0, -math.pi / 2), (0.0, math.pi / 2)),
     )
-    v, prices, solution = uncapped_visibility(cfg, threshold._symmetric_statistics)
+    v, prices, pool = uncapped_visibility(cfg, threshold._symmetric_statistics)
     assert v == math.inf
     assert not prices.any()
-    assert solution is None
+    assert pool is None
+    # a restart's pool passes through unchanged
+    alice, bob = settings_arrays(builtin_config("paper-qutrit"))
+    pool = threshold._uncapped_visibility(threshold._symmetric_statistics, alice, bob, None)[2]
+    uniform = settings_arrays(cfg)
+    assert threshold._uncapped_visibility(threshold._symmetric_statistics, *uniform, pool)[2] is pool
 
 
 def test_scan_probes_build_no_derivatives(monkeypatch):
-    # the golden-section probes read V* alone, so most LP solves of a restart
-    # build no phase derivatives
+    # the golden-section probes read V* alone, so most V* LPs of a restart,
+    # each answered by the restart's pool, build no phase derivatives
     calls = {"coincidence_derivatives_at": 0, "solve": 0}
-    for name in calls:
+    for owner, name in ((threshold, "coincidence_derivatives_at"), (simplex.BasisPool, "solve")):
 
-        def counted(*args, _name=name, _original=getattr(threshold, name), **kwargs):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(threshold, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     scan(3, 1, 0, "prob")
     assert calls["solve"] > 0
     # one call builds the derivatives of every settings pair
@@ -731,19 +744,43 @@ def test_scan_keeps_the_start_where_every_uncapped_lp_is_unbounded(monkeypatch):
 
 
 def test_scan_solves_often_start_optimal(monkeypatch):
-    # each V* LP starts from its restart's previous solution, which is often
-    # still optimal: 53 of 80 solves take no pivot
+    # each V* LP is answered from its restart's pool of verified bases, which
+    # often holds an optimal one: 69 of 78 take no pivot, and only the other
+    # 9 reach simplex.solve, each from the restart's last basis but the cold
+    # first one
     pivots = []
-    original = threshold.solve
+    start_counts = []
+    answer, resolve = simplex.BasisPool.solve, simplex.solve
 
-    def counted(*args, **kwargs):
-        solution = original(*args, **kwargs)
+    def answered(pool, rhs):
+        solution = answer(pool, rhs)
         pivots.append(solution.iterations)
         return solution
 
-    monkeypatch.setattr(threshold, "solve", counted)
+    def resolved(lp, *, starts):
+        start_counts.append(len(starts))
+        return resolve(lp, starts=starts)
+
+    monkeypatch.setattr(simplex.BasisPool, "solve", answered)
+    monkeypatch.setattr(simplex, "solve", resolved)
     scan(3, 1, 0, "prob")
-    assert 3 * pivots.count(0) >= len(pivots)
+    assert pivots.count(0) >= 0.85 * len(pivots)
+    assert start_counts == [0] + [1] * (len(pivots) - pivots.count(0) - 1)
+
+
+def test_scan_opens_one_pool_per_restart(monkeypatch):
+    # each restart's first V* LP opens its pool, and every later one reuses it
+    previous = []
+    uncapped = threshold._uncapped_visibility
+
+    def recorded(statistics, alice, bob, pool):
+        previous.append(pool)
+        return uncapped(statistics, alice, bob, pool)
+
+    monkeypatch.setattr(threshold, "_uncapped_visibility", recorded)
+    scan(3, 3, 0, "prob")
+    assert previous.count(None) == 3
+    assert len({id(pool) for pool in previous if pool is not None}) == 3
 
 
 def test_previous_basis_starts_keep_scan_restarts_at_optimum():
@@ -790,15 +827,17 @@ def test_failed_zero_visibility_solve_leaves_no_start(monkeypatch):
 
 
 def recorded_solves(monkeypatch) -> list:
-    """The LPs that threshold.solve is given from now on, in call order."""
+    """The LPs solved from now on, in call order: the drivers' through
+    threshold.solve, the scan's V* LPs through their pools' simplex.solve."""
     lps = []
-    original = threshold.solve
+    original = simplex.solve
 
     def recording(lp, *args, **kwargs):
         lps.append(lp)
         return original(lp, *args, **kwargs)
 
     monkeypatch.setattr(threshold, "solve", recording)
+    monkeypatch.setattr(simplex, "solve", recording)
     return lps
 
 
@@ -848,16 +887,17 @@ def test_every_threshold_lp_is_built_by_visibility_lp(monkeypatch):
 
 def test_scan_records_failed_restart_as_nan(monkeypatch):
     unpatched = scan(3, 2, 0, "prob").history
-    # call 1 is restart 0's first V* LP, solved cold, and call 2 its second
+    # call 1 is restart 0's first V* LP, solved cold, and call 2 the first of
+    # its V* LPs that no pooled basis answers
     calls = 0
-    original = threshold.solve
+    original = simplex.solve
 
     def fails_once(*args, **kwargs):
         nonlocal calls
         calls += 1
         return forced_failure() if calls == 2 else original(*args, **kwargs)
 
-    monkeypatch.setattr(threshold, "solve", fails_once)
+    monkeypatch.setattr(simplex, "solve", fails_once)
     history = scan(3, 2, 0, "prob").history
     assert history[0][0] == 0 and math.isnan(history[0][1])
     assert history[1] == unpatched[1]
@@ -983,8 +1023,8 @@ def test_scan_restarts_ignore_roundoff_in_visibility(monkeypatch, pool_histories
         shifts = itertools.cycle(pattern)
 
         def nudged_visibility(*args):
-            v, prices, solution = uncapped(*args)
-            return v + next(shifts), prices, solution
+            v, prices, pool = uncapped(*args)
+            return v + next(shifts), prices, pool
 
         monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
         for seed in POOL_SEEDS:
@@ -1005,8 +1045,8 @@ def test_line_search_ignores_roundoff_at_every_nudge_phase(monkeypatch):
             shifts = itertools.cycle(pattern[offset:] + pattern[:offset])
 
             def nudged_visibility(*args, _shifts=shifts):
-                v, prices, solution = uncapped(*args)
-                return v + next(_shifts), prices, solution
+                v, prices, pool = uncapped(*args)
+                return v + next(_shifts), prices, pool
 
             monkeypatch.setattr(threshold, "_uncapped_visibility", nudged_visibility)
             assert scan(3, 1, 6, "prob").history[0][1] == pytest.approx(reference, abs=1e-9)
