@@ -24,10 +24,11 @@ threshold problems in this package rather than generality:
   starts with one artificial above zero instead of all m (about a third
   fewer pivots at 102 x 627), and phase 2 starts from its basis factorized
   on the unreflected rows, the original ones at full row rank;
-- each pivot updates only the m x m basis inverse and the basic values
-  (prices and reduced costs are recomputed from them), and a
-  refactorization solves the basis against [I | b] only, forming B^-1 A
-  only when the bound |B^-1|_inf max|A_ij| leaves its check open;
+- each pivot updates only the m x m basis inverse and the basic values,
+  [B^-1 | x_B], with one BLAS rank-1 product (prices and reduced costs are
+  recomputed from them), and a refactorization solves the basis against
+  [I | b] only, forming B^-1 A only when the bound |B^-1|_inf max|A_ij|
+  leaves its check open;
 - pivoting is deterministic (largest reduced cost, largest pivot element
   on ties), and Bland's rule is engaged after 5(m + n) pivots without a
   gain, which guarantees termination in exact arithmetic; roundoff can still
@@ -151,10 +152,12 @@ def _pivot(
     inverse: np.ndarray, basis: np.ndarray, column: np.ndarray, row: int, col: int
 ) -> None:
     """Enter ``col``, whose basis-inverse image is ``column`` (overwritten),
-    on ``row``: one rank-1 update of [B^-1 | x_B]."""
+    on ``row``: one rank-1 update of [B^-1 | x_B].  The BLAS product makes
+    one product and one subtraction per entry, as a broadcast does, so it
+    gives the same bits."""
     inverse[row] *= 1.0 / column[row]
     column[row] = 0.0
-    inverse -= column[:, None] * inverse[row]
+    inverse -= np.dot(column[:, None], inverse[row : row + 1])
     basis[row] = col
 
 
@@ -342,13 +345,16 @@ def _eigen_row_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     values, vectors = values[::-1], vectors[:, ::-1]
     scale = math.sqrt(max(float(values[0]), 0.0))
     kept = values > 1e-12 * values[0]
+    rank = int(kept.sum())  # the eigenvalues descend, so ``kept`` is a prefix
     rows = vectors.T @ a
     if (
-        np.linalg.norm(rows[kept], axis=1).min(initial=math.inf) < 1e-6 * scale
-        or np.linalg.norm(rows[~kept]) > RANK_TOL * scale
+        np.linalg.norm(rows[:rank], axis=1).min(initial=math.inf) < 1e-6 * scale
+        or np.linalg.norm(rows[rank:]) > RANK_TOL * scale
     ):
         return None
-    return vectors[:, kept], rows[kept]
+    # U stays a mask copy: its layout sets the bits of U^T b, whose signs
+    # decide the rows that _row_space flips
+    return vectors[:, kept], rows[:rank]
 
 
 def _row_space(
@@ -396,14 +402,14 @@ def _reflected(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     norm = float(np.linalg.norm(b))
     tail = float(b[1:] @ b[1:])
-    rhs = np.zeros(b.size)
+    data = _augmented(a, np.zeros(b.size))
+    data[:1, -1] = norm
     if tail > 0.0:
         v = b.copy()
         v[0] = -tail / (b[0] + norm)
         v *= math.sqrt(2.0 / (v[0] ** 2 + tail))
-        a = a - np.outer(v, v @ a)
-    rhs[:1] = norm
-    return _augmented(a, rhs)
+        data[:, : a.shape[1]] -= np.outer(v, v @ a)
+    return data
 
 
 def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -563,16 +569,19 @@ def solve(
         inverse, basis, pivots, lowest = accepted
         iterations += pivots
         factorized = pivots == 0
-    # the reduced rows replace the original ones only when no start is accepted
-    data, a_max = original()
+        data, a_max = original()
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
     if accepted is None:
+        # the reduced rows replace the original ones only when no start is
+        # accepted, and [A | I | b] of the original rows is built only when
+        # phase 2 runs on them
         reduced = _row_space(a0, b0)
         if reduced is None:
             return unsolved("infeasible", "rhs outside the column space of A")
         u, a, b = reduced
         if b.size == b0.size:
             u = None  # full row rank: phase 2 stays on the original rows
+            data, a_max = original()
         else:
             data = _augmented(a, b)
             a_max = float(np.abs(a).max(initial=0.0))

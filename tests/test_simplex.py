@@ -283,6 +283,26 @@ def test_optimal_start_refactorizes_once(monkeypatch):
         assert np.array_equal(again.dual, cold.dual)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [1, 8, 82, 120])
+def test_pivot_matches_the_broadcast_update_bit_for_bit(m, order):
+    rng = np.random.default_rng(20261300 + m)
+    inverse = np.asarray(rng.normal(size=(m, m + 1)), order=order)
+    basis = rng.permutation(3 * m)[:m]
+    column = rng.normal(size=m)
+    row, col = int(rng.integers(m)), 3 * m + 1
+    expected_inverse, expected_basis, expected_column = inverse.copy(), basis.copy(), column.copy()
+    # the update as a broadcast: the same product and subtraction per entry
+    expected_inverse[row] *= 1.0 / expected_column[row]
+    expected_column[row] = 0.0
+    expected_inverse -= expected_column[:, None] * expected_inverse[row]
+    expected_basis[row] = col
+    simplex._pivot(inverse, basis, column, row, col)
+    assert np.array_equal(inverse, expected_inverse)
+    assert np.array_equal(basis, expected_basis)
+    assert np.array_equal(column, expected_column)
+
+
 def factorized(matrix, rhs):
     """simplex._factorize of the basis made of the first len(rhs) columns of
     ``matrix``."""
@@ -536,6 +556,88 @@ def test_certify_lps_at_n5_take_the_eigen_path(monkeypatch):
         assert solve(probability_lp(cfg, v_thr + 1e-4)[0]).status == "infeasible"
     assert eighs == [(102, 102), (103, 103), (103, 103)] * 2
     assert svds == []
+
+
+def eigen_row_space_by_masks(a):
+    """``simplex._eigen_row_space`` as it took U^T A through boolean masks."""
+    values, vectors = np.linalg.eigh(a @ a.T)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    scale = math.sqrt(max(float(values[0]), 0.0))
+    kept = values > 1e-12 * values[0]
+    rows = vectors.T @ a
+    if (
+        np.linalg.norm(rows[kept], axis=1).min(initial=math.inf) < 1e-6 * scale
+        or np.linalg.norm(rows[~kept]) > simplex.RANK_TOL * scale
+    ):
+        return None
+    return vectors[:, kept], rows[kept]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param(lambda: full_probability_lp(4).constraint_matrix, id="66x258"),
+        pytest.param(lambda: full_probability_lp(5).constraint_matrix, id="102x627"),
+        pytest.param(rank_deficient_matrix, id="random-24x60"),
+        pytest.param(
+            lambda: matrix_with_singular_values(
+                np.concatenate([np.logspace(0.0, -4.0, 20), np.zeros(20)]), 90, seed=20261203
+            ),
+            id="random-40x90",
+        ),
+    ],
+)
+def test_eigen_row_space_matches_the_mask_copies_bit_for_bit(matrix):
+    a = matrix()
+    b = a @ np.ones(a.shape[1])
+    u, rows = simplex._eigen_row_space(a)
+    u_ref, rows_ref = eigen_row_space_by_masks(a)
+    assert u.shape[1] < a.shape[0]
+    assert np.array_equal(u, u_ref) and np.array_equal(rows, rows_ref)
+    # U keeps the layout of vectors[:, kept]: it sets the bits of U^T b,
+    # whose signs decide which rows _row_space flips
+    assert u.strides == u_ref.strides
+    assert np.array_equal(u.T @ b, u_ref.T @ b)
+
+
+def recorded_augments(monkeypatch, original) -> list[tuple[int, bool]]:
+    """(rows, whether A is ``original``) of each simplex._augmented call
+    from now on."""
+    calls = []
+    augmented = simplex._augmented
+
+    def recorded(a, b):
+        calls.append((a.shape[0], a is original))
+        return augmented(a, b)
+
+    monkeypatch.setattr(simplex, "_augmented", recorded)
+    return calls
+
+
+def test_cold_rank_deficient_solve_augments_only_the_reduced_rows(monkeypatch):
+    lp = probability_lp(builtin_config("paper-qutrit"))[0]
+    assert lp.constraint_matrix.shape == (38, 83)
+    calls = recorded_augments(monkeypatch, lp.constraint_matrix)
+    sol = solve(lp)
+    assert sol.status == "optimal" and check_certificate(lp, sol).passed
+    # the reflected phase-1 rows and the unreflected phase-2 rows, both
+    # reduced to the rank 26; [A | I | b] of the 38 original rows is never built
+    assert calls == [(26, False), (26, False)]
+
+
+def test_full_rank_and_warm_solves_augment_the_original_rows_once(monkeypatch):
+    lp, zero = lp_and_zero_basis(
+        builtin_config("paper-qutrit"), threshold._symmetric_statistics, False
+    )
+    calls = recorded_augments(monkeypatch, lp.constraint_matrix)
+    m = lp.n_rows
+    cold = solve(lp)
+    # phase 2 on the original rows, phase 1 on the reflected reduced ones
+    assert calls == [(m, True), (m, False)]
+    del calls[:]
+    warm = solve(lp, starts=[zero])
+    assert calls == [(m, True)]
+    assert cold.status == warm.status == "optimal"
 
 
 def test_wide_lp_with_rhs_outside_column_space_is_infeasible(monkeypatch):
