@@ -6,7 +6,8 @@ has the closed form (6*sqrt(3) - 9)/2.  The derivation chain verified here:
 1.  The correlation matrix Q decomposes as c1*I + c2*S over the identity
     and the off-diagonal symmetry operator S (entries alpha**2 and alpha).
 2.  Q commutes with S.
-3.  Conjugation by S permutes the 27 distinct strategy matrices as an
+3.  Conjugation by S permutes the 27 distinct strategy matrices, the
+    columns of the correlation LP that steps 4 and 9 solve, as an
     involution with 12 two-cycles and 3 fixed points.
 4.  Averaging any optimal weight distribution with its orbit image leaves
     the reconstructed matrix unchanged, cutting the unknowns from 27 to 15.
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import ExperimentConfig, correlation_matrix
-from .strategies import distinct_matrices, enumerate_strategies, strategy_values
-from .threshold import builtin_config, correlation_threshold
+# unused here; perfbench traces them under these names
+from .strategies import distinct_matrices, enumerate_strategies  # noqa: F401
+from .threshold import _correlation_data, builtin_config, correlation_threshold
 
 SQRT3 = math.sqrt(3.0)
 ALPHA = complex(np.exp(2j * np.pi / 3.0))
@@ -174,9 +176,9 @@ def run_proof(config: ExperimentConfig | None = None) -> ProofReport:
     dev = _maxdev(operator @ q - q @ operator)
     record("symmetry_commutes", dev <= 1e-12, "max |SQ - QS| entry", dev)
 
-    # 3: conjugation permutes the 27 distinct matrices (12 pairs + 3 fixed).
-    strategies = distinct_matrices(enumerate_strategies(3, 2, 2), 3)
-    stack = strategy_values(strategies, 3)
+    # 3: conjugation permutes the correlation LP's 27 columns (12 pairs + 3 fixed).
+    strategies, table, _ = _correlation_data(3, 2, 2)
+    stack = table.T.reshape(-1, 2, 2)
     permutation = orbit_map(stack, operator)
     pairs, fixed = orbit_classes(permutation)
     record(

@@ -34,7 +34,7 @@ no factorization by a pooled basis that stays primal feasible, else after a
 few dual simplex pivots from the last one.
 
 The drivers' capped LPs keep V as a column, so each shape's V=0 LP
-(statistics, cap, N, n_alice, n_bob) is solved once as their start.  The
+(statistics, N, n_alice, n_bob) is solved once as their start.  The
 quantum point a threshold LP matches and its phase derivatives are built
 for every settings pair at once by quantum's array-level functions
 (``coincidences_at``, ``correlations_at`` and their derivatives), from the
@@ -276,22 +276,21 @@ _START_BASES: dict[tuple, tuple[int, ...] | None] = {}
 _SCAN_LPS: dict[tuple, LinearProgram] = {}
 
 
-def _solve_threshold_lp(statistics, alice: np.ndarray, bob: np.ndarray, cap: bool):
-    """The statistics of the settings and the solution of their threshold LP.
+def _solve_threshold_lp(statistics, alice: np.ndarray, bob: np.ndarray):
+    """The statistics of the settings and the solution of their capped threshold LP.
 
-    The solve starts from a feasible V=0 basis kept per (statistics, cap, N,
+    The solve starts from a feasible V=0 basis kept per (statistics, N,
     n_alice, n_bob): only column k (V) of the LP depends on the phases, so
-    the LP without column k, and its basis of strategy columns (and the cap
-    slack, if the LP has the cap row), are the same for every config of the
-    shape, whichever comes first.  Each
-    shape's V=0 LP is solved once; unless it ends optimal the shape keeps
-    None and has no V=0 start.  Raises SolverFailure unless the LP ends
-    optimal, or unbounded without the cap.
+    the LP without column k, and its basis of strategy columns and the cap
+    slack, are the same for every config of the shape, whichever comes
+    first.  Each shape's V=0 LP is solved once; unless it ends optimal the
+    shape keeps None and has no V=0 start.  Raises SolverFailure unless the
+    LP ends optimal.
     """
     stats = strategies, _, block, _, matched, offset = statistics(alice, bob)
     k = len(strategies)
-    key = (statistics, cap, alice.shape[1], len(alice), len(bob))
-    lp = _visibility_lp(block, matched, offset, cap=cap)
+    key = (statistics, alice.shape[1], len(alice), len(bob))
+    lp = _visibility_lp(block, matched, offset)
     if key not in _START_BASES:
         a = np.delete(lp.constraint_matrix, k, axis=1)
         fixed = solve(LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs))
@@ -299,7 +298,7 @@ def _solve_threshold_lp(statistics, alice: np.ndarray, bob: np.ndarray, cap: boo
         _START_BASES[key] = tuple(j + (j >= k) for j in fixed.basis) if optimal else None
     zero = _START_BASES[key]
     solution = solve(lp, starts=[zero] if zero is not None else [])
-    if solution.status != "optimal" and (cap or solution.status != "unbounded"):
+    if solution.status != "optimal":
         raise SolverFailure(
             f"threshold LP ended with status {solution.status}: {solution.detail}"
         )
@@ -315,9 +314,8 @@ def _threshold(
     w/N to each of its N members, a mixture whose full coincidence tables are
     the orbit rows divided by N.
     """
-    (strategies, table, _, point, _, offset), solution = _solve_threshold_lp(
-        statistics, *settings_arrays(config), cap=True
-    )
+    stats, solution = _solve_threshold_lp(statistics, *settings_arrays(config))
+    strategies, table, _, point, _, offset = stats
     k = len(strategies)
     weights = solution.x[:k]
     v = float(min(max(solution.x[k], 0.0), 1.0))

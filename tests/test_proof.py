@@ -76,6 +76,20 @@ def test_report_is_deterministic():
     assert run_proof() == run_proof()
 
 
+def test_run_proof_takes_its_strategies_from_the_correlation_lp(monkeypatch):
+    # the 27 matrices are the correlation LP's columns, not derived again
+    expected = run_proof()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the proof derived its strategy set again")
+
+    monkeypatch.setattr("multiport_bell.strategies.canonicalize", refused)
+    for name in ("distinct_matrices", "enumerate_strategies", "strategy_values"):
+        # raising=False: proof no longer binds strategy_values
+        monkeypatch.setattr(proof, name, refused, raising=False)
+    assert run_proof() == expected
+
+
 def test_mutated_config_breaks_symmetry_checks():
     base = builtin_config("paper-qutrit")
     alice = list(map(list, base.alice_settings))

@@ -682,11 +682,18 @@ def count_row_spaces(monkeypatch) -> list[int]:
 
 def lp_and_zero_basis(cfg, statistics, cap):
     """A threshold LP of ``cfg``, capped as the drivers solve it or uncapped,
-    and the cached V=0 basis its solves start from."""
-    _, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
-    threshold._solve_threshold_lp(statistics, *settings_arrays(cfg), cap=cap)
-    zero = threshold._START_BASES[(statistics, cap, cfg.dimension, cfg.n_alice, cfg.n_bob)]
-    return threshold._visibility_lp(block, matched, offset, cap=cap), zero
+    and the V=0 basis its solves start from: the drivers' cached one, or
+    that of the uncapped V=0 LP, solved here as the drivers solve theirs."""
+    strategies, _, block, _, matched, offset = statistics(*settings_arrays(cfg))
+    lp = threshold._visibility_lp(block, matched, offset, cap=cap)
+    if cap:
+        threshold._solve_threshold_lp(statistics, *settings_arrays(cfg))
+        return lp, threshold._START_BASES[(statistics, cfg.dimension, cfg.n_alice, cfg.n_bob)]
+    k = len(strategies)
+    a = np.delete(lp.constraint_matrix, k, axis=1)
+    fixed = solve(LinearProgram(np.zeros(lp.n_cols - 1), a, lp.rhs))
+    assert fixed.status == "optimal"
+    return lp, tuple(j + (j >= k) for j in fixed.basis)
 
 
 @pytest.mark.parametrize(

@@ -182,6 +182,10 @@ def test_symmetric_indicator_matches_loop_reference():
         assert labels == tuple(everything)
         assert labels[: len(strategies)] == strategies
         assert [strategies[k] for k in orbits] == [canonicalize(s, n) for s in everything]
+        # exactly the columns the proof replays
+        table = threshold._correlation_data(dimension, n_alice, n_bob)[1]
+        values = strategy_values(distinct_matrices(everything, dimension), dimension)
+        assert np.array_equal(table, values.reshape(len(strategies), -1).T)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4])
@@ -441,21 +445,17 @@ RATIO_TEST_START = (53, 12, 50, 10, 55, 44, 20, 19, 33)
 
 
 @pytest.mark.xfail(
-    raises=SolverFailure,
+    raises=AssertionError,
     strict=True,
     reason="from the V=0 start, V enters on a degenerate row at pivot element 1.04e-9, "
     "just above PIVOT_TOL; the solve then ends 'phase 2 primal infeasible on "
     "refactorization' (it ended 'negative variable' while phase 2 ran on reduced rows)",
 )
-def test_ratio_test_lp_solves_from_the_zero_visibility_start(monkeypatch):
-    key = (threshold._correlation_statistics, False, 4, 2, 2)
-    monkeypatch.setattr(threshold, "_START_BASES", {key: RATIO_TEST_START})
-    (strategies, *_), solution = threshold._solve_threshold_lp(
-        threshold._correlation_statistics, *settings_arrays(RATIO_TEST_CONFIG), cap=False
-    )
+def test_ratio_test_lp_solves_from_the_zero_visibility_start():
     lp = ratio_test_lp()
+    solution = solve(lp, starts=[RATIO_TEST_START])
     assert solution.status == "optimal"
-    assert solution.x[len(strategies)] == pytest.approx(-highs(lp).fun, abs=1e-9)
+    assert solution.objective_value == pytest.approx(-highs(lp).fun, abs=1e-9)
     assert_dual_certifies(lp, solution)
 
 
@@ -818,7 +818,7 @@ def test_failed_zero_visibility_solve_leaves_no_start(monkeypatch):
     # call 1 is the V=0 solve that fills the empty cache
     monkeypatch.setattr(threshold, "solve", fails_first)
     assert correlation_threshold(cfg).v_thr == pytest.approx(V_QUTRIT, abs=1e-12)
-    assert threshold._START_BASES == {(threshold._correlation_statistics, True, 3, 2, 2): None}
+    assert threshold._START_BASES == {(threshold._correlation_statistics, 3, 2, 2): None}
     before = calls
     # the shape's V=0 LP is not solved again, and the LP solves cold
     second = correlation_threshold(cfg)
