@@ -5,8 +5,9 @@ TERM   := FACTOR (('*' | '/') FACTOR)*
 FACTOR := NUMBER | 'pi' | '(' EXPR ')' | '-' FACTOR
 
 Left-associative, whitespace ignored, evaluated in double precision.
-NUMBER is a decimal integer with an optional fraction part.  At most
-MAX_NESTING parentheses and unary minus signs may enclose one another.
+NUMBER is a decimal integer with an optional fraction part, written in the
+ASCII digits 0-9 only.  At most MAX_NESTING parentheses and unary minus
+signs may enclose one another.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class _Parser:
         ch = self.peek()
         if ch in ("-", "("):
             return self.nested(ch)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return self.number()
         if self.source.startswith("pi", self.pos):
             self.pos += 2
@@ -105,12 +106,12 @@ class _Parser:
 
     def number(self) -> float:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.peek() == ".":
             self.pos += 1
-            if not self.peek().isdigit():
+            if not "0" <= self.peek() <= "9":
                 raise PhaseExprError("expected digits after '.'", self.pos)
-            while self.peek().isdigit():
+            while "0" <= self.peek() <= "9":
                 self.pos += 1
         return float(self.source[start : self.pos])

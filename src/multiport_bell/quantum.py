@@ -181,11 +181,6 @@ def pair_coincidences(config: ExperimentConfig) -> np.ndarray:
     return coincidences_at(*settings_arrays(config))
 
 
-def pure_coincidence_derivatives(config: ExperimentConfig) -> np.ndarray:
-    """``coincidence_derivatives_at`` the settings of config, (pairs, N, N)."""
-    return coincidence_derivatives_at(*settings_arrays(config))
-
-
 def joint_probabilities(
     config: ExperimentConfig, alice_index: int, bob_index: int, noise: float = 0.0
 ) -> np.ndarray:
@@ -219,7 +214,3 @@ def correlation_value(
     _check_indices(config, alice_index, bob_index)
     return complex(correlation_matrix(config, noise)[alice_index, bob_index])
 
-
-def correlation_derivatives(config: ExperimentConfig) -> np.ndarray:
-    """``correlation_derivatives_at`` the settings of config, (pairs, N)."""
-    return correlation_derivatives_at(*settings_arrays(config))

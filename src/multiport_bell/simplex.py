@@ -3,15 +3,13 @@
 Solves max c.x subject to A x = b, x >= 0.  Tuned for the small dense
 threshold problems in this package rather than generality:
 
-- the first of the starts named by the caller that is primal feasible
-  skips phase 1, and so does one that is only dual feasible, after at most
-  m dual simplex pivots.  A start is a basis, or a previous solution of an
-  LP with the same A and c, whose verified basis inverse is dual feasible
-  for any b and takes the place of a factorization.  Starts are tried on
-  the original rows only: one that factorizes proves them independent, and
-  a rank-deficient LP accepts none.  ``BasisPool`` keeps such solutions for
-  a family of right-hand sides and answers from one that stays primal
-  feasible without a solve;
+- a starting basis named by the caller that is primal feasible skips
+  phase 1, and so does one that is only dual feasible, after at most m dual
+  simplex pivots.  The start is tried on the original rows only: one that
+  factorizes proves them independent, and a rank-deficient LP accepts none.
+  ``BasisPool`` keeps the optimal bases verified for a family of right-hand
+  sides with one A and c, and answers from one that stays primal feasible
+  without a solve;
 - only when no start is accepted are the rows reduced to an orthonormal
   basis of A's row space.  Only some threshold LPs need it: the full
   probability LPs are rank-deficient (18 x 18 of rank 10 at N=2, 38 x 83
@@ -99,15 +97,6 @@ class LinearProgram:
             raise ValueError("rhs contains non-finite entries")
         return _frozen(b)
 
-    def with_rhs(self, rhs) -> LinearProgram:
-        """This LP with the right-hand side ``rhs``, sharing its frozen A and
-        c, so that ``solve`` may start it from a solution of this one; only
-        rhs is validated."""
-        lp = object.__new__(LinearProgram)
-        lp.objective, lp.constraint_matrix = self.objective, self.constraint_matrix
-        lp.rhs = self.checked_rhs(rhs)
-        return lp
-
     @property
     def n_rows(self) -> int:
         return self.rhs.size
@@ -127,10 +116,8 @@ class LPSolution:
     detail: str = ""
     basis: tuple[int, ...] | None = None  # when optimal: columns, a start at full row rank
     dual: np.ndarray | None = None  # one price per original row, when optimal
-    # when optimal on the original rows: the LP solved and the B^-1 of
-    # ``basis`` that _factorize produced and the solve verified, a start for
-    # the LPs that share the LP's A and c (``LinearProgram.with_rhs``)
-    lp: LinearProgram | None = field(default=None, repr=False, compare=False)
+    # when optimal on the original rows: the B^-1 of ``basis`` that
+    # _factorize produced and the solve verified, which ``BasisPool`` keeps
     inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -295,39 +282,20 @@ def _dual_optimize(
 
 
 def _accepted_start(
-    b: np.ndarray, original, starts: list, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, float] | None:
-    """[B^-1 | x_B], the basis, the dual simplex pivots and min(x_B, 0) of
-    the first of ``starts`` that is primal feasible as it is or after
-    ``_dual_optimize`` (which pivots the start in place); None if no start
-    is.  ``original()`` gives [A | I | b] and max|A_ij|.
-
-    A basis must have one column per row and pass ``_factorize``; a previous
-    solution gives its verified B^-1 as it is, and x_B = B^-1 b, which must
-    pass _factorize's bound of 1e8 on every entry."""
-    m = b.size
-    for start in starts:
-        if isinstance(start, LPSolution):
-            basis = np.array(start.basis)
-            inverse = np.empty((m, m + 1))
-            inverse[:, :m] = start.inverse
-            inverse[:, m] = start.inverse @ b
-            if not np.abs(inverse[:, m]).max(initial=0.0) <= 1e8:
-                continue
-            lowest = float(inverse[:, m].min(initial=0.0))
-            if not lowest < -CERTIFICATE_VARIABLE_TOL:
-                return inverse, basis, 0, lowest
-        else:
-            basis = start
-            data, a_max = original()
-            inverse = _factorize(data, basis, a_max) if basis.size == m else None
-            if inverse is None:
-                continue
-        data = original()[0]
-        verdict = _dual_optimize(data[:, : c.size], c, inverse, basis)
-        if verdict is not None:
-            return inverse, basis, *verdict
-    return None
+    data: np.ndarray, a_max: float, basis: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, int, float] | None:
+    """[B^-1 | x_B], the dual simplex pivots and min(x_B, 0) of the starting
+    ``basis`` of ``data`` = [A | I | b], whose max|A_ij| is ``a_max``, if it
+    has one column per row, passes ``_factorize`` and is primal feasible as
+    it is or after ``_dual_optimize`` (which pivots ``basis`` in place);
+    else None."""
+    if basis.size != data.shape[0]:
+        return None
+    inverse = _factorize(data, basis, a_max)
+    if inverse is None:
+        return None
+    verdict = _dual_optimize(data[:, : c.size], c, inverse, basis)
+    return None if verdict is None else (inverse, *verdict)
 
 
 def _eigen_row_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -422,9 +390,7 @@ def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return data
 
 
-def solve(
-    lp: LinearProgram, *, starts: Sequence[Sequence[int] | LPSolution] = ()
-) -> LPSolution:
+def solve(lp: LinearProgram, *, start: Sequence[int] | None = None) -> LPSolution:
     """Two-phase simplex on the independent rows; exact status reporting.
 
     Each phase's verdict is re-checked once against a basis inverse
@@ -434,49 +400,35 @@ def solve(
     objective that grows): pivot roundoff can end a solve "failed", never
     with a silently wrong answer.
 
-    ``starts`` are candidates, tried in order on the original rows: starting
-    bases (each one distinct structural columns, else ValueError) and
-    previous solutions that carry the verified B^-1 of an LP with this LP's
-    own A and c objects, as ``LinearProgram.with_rhs`` shares them (any
-    other solution is a ValueError).  A basis is accepted if it has one
-    column per row and passes the strict refactorization; a solution gives
-    its B^-1 in place of that refactorization.  Either must then leave no
+    ``start`` is a starting basis, distinct structural columns (else
+    ValueError), tried on the original rows.  It is accepted if it has one
+    column per row, passes the strict refactorization and then leaves no
     basic value below -CERTIFICATE_VARIABLE_TOL or, having no reduced cost
-    above PIVOT_TOL, reach such values within m dual simplex pivots
-    (``_dual_optimize``, on a copy of a solution's B^-1), whose basis phase
-    2 refactorizes.  A solution's basis is dual feasible by construction: A,
-    c and B^-1 are those its reduced costs were verified with.  So when it
-    stays primal feasible, phase 2 prices it once and ends with no
-    factorization; ``BasisPool`` answers that case without a solve.  An
-    accepted start replaces phase 1 and proves the rows independent, so they
-    are not reduced; a rank-deficient LP accepts none.  A rejected candidate
-    leaves the solve as it was.  If none is accepted, the equalities are
+    above PIVOT_TOL, reaches such values within m dual simplex pivots
+    (``_dual_optimize``), whose basis phase 2 refactorizes.  An accepted
+    start replaces phase 1 and proves the rows independent, so they are not
+    reduced; a rank-deficient LP accepts none.  A rejected start leaves the
+    solve as it was.  Without an accepted start, the equalities are
     replaced by an orthonormal basis of their row space, so redundant rows
     never reach the basis and every phase-1 artificial leaves it, and phase
     1 runs on them, reflected by ``_reflected``.  Phase 2 starts from a
     basis factorized on the unreflected rows, the original ones at full row
-    rank, so a solve from a starting basis and a solve without starts that
+    rank, so a solve from a starting basis and a solve without one that
     ends in that basis agree bit for bit.  An optimal solution carries its
     ``basis``, a start for LPs with the same A, b when A has full row rank,
     and its ``dual`` y over the original rows (b.y is the optimum and c -
     A^T y <= 0): the prices c_B B^-1 from the verified final basis inverse,
     mapped back by U when phase 2 ran on reduced rows.  When phase 2 ran on
-    the original rows it also carries that ``inverse`` and its ``lp``.
+    the original rows it also carries that ``inverse``.
     """
     c = lp.objective
     a0 = lp.constraint_matrix
     b0 = lp.rhs
     n = c.size
+    m = b0.size
     iterations = 0
-    checked = []
-    for start in starts:
-        if isinstance(start, LPSolution):
-            if start.inverse is None or not (
-                start.lp.constraint_matrix is a0 and start.lp.objective is c
-            ):
-                raise ValueError("a solution start must carry the B^-1 of an LP with this A and c")
-            checked.append(start)
-            continue
+    accepted = None
+    if start is not None:
         columns = list(map(operator.index, start))
         if (
             len(set(columns)) != len(columns)
@@ -484,7 +436,10 @@ def solve(
             or max(columns, default=-1) >= n
         ):
             raise ValueError(f"a start must name distinct columns in 0..{n - 1}")
-        checked.append(np.array(columns, dtype=int))
+        # [A | I | b] on the original rows, which a start is tried on
+        data, a_max = _augmented(a0, b0), float(np.abs(a0).max(initial=0.0))
+        basis = np.array(columns, dtype=int)
+        accepted = _accepted_start(data, a_max, basis, c)
 
     def unsolved(status: str, detail: str) -> LPSolution:
         return LPSolution(status, math.nan, None, math.nan, iterations, detail)
@@ -505,21 +460,11 @@ def solve(
             "optimal", float(c @ x), x, residual, iterations, "", tuple(basis.tolist()), prices
         )
         if u is None:
-            solution.lp, solution.inverse = lp, _frozen(inverse[:, :m])
+            solution.inverse = _frozen(inverse[:, :m])
         else:
             solution.dual = u @ prices
         return solution
 
-    rows = None
-
-    def original() -> tuple[np.ndarray, float]:
-        """[A | I | b] on the original rows and max|A_ij|, built on first use."""
-        nonlocal rows
-        if rows is None:
-            rows = _augmented(a0, b0), float(np.abs(a0).max(initial=0.0))
-        return rows
-
-    m = b0.size
     u = None  # U of the reduced rows, when phase 2 runs on them
     prices = None  # c_B B^-1 of the verified inverse, from optimize_verified
 
@@ -557,7 +502,6 @@ def solve(
         improving = (costs[:n] - prices @ a > PIVOT_TOL).any()
         return "dual infeasible on refactorization" if improving else "optimal"
 
-    accepted = _accepted_start(b0, original, checked, c)
     # whether ``inverse`` was factorized from ``basis`` with no pivot since.
     # Dual simplex pivots and phase 1 start it False, so that their basis is
     # refactorized even after no primal pivot; for phase 1 that is the only
@@ -566,10 +510,9 @@ def solve(
     # x = 0, passes phase 1 and only the ray check stops phase 2's "unbounded".
     # ``lowest`` is min(x_B, 0) of ``inverse``, or None until it is taken
     if accepted is not None:
-        inverse, basis, pivots, lowest = accepted
+        inverse, pivots, lowest = accepted
         iterations += pivots
         factorized = pivots == 0
-        data, a_max = original()
     feasibility_tol = 1e-9 * max(1.0, float(np.abs(b0).max(initial=0.0)))
     if accepted is None:
         # the reduced rows replace the original ones only when no start is
@@ -581,7 +524,8 @@ def solve(
         u, a, b = reduced
         if b.size == b0.size:
             u = None  # full row rank: phase 2 stays on the original rows
-            data, a_max = original()
+            if start is None:
+                data, a_max = _augmented(a0, b0), float(np.abs(a0).max(initial=0.0))
         else:
             data = _augmented(a, b)
             a_max = float(np.abs(a).max(initial=0.0))
@@ -655,10 +599,10 @@ class BasisPool:
     their stacked inverses.  The first basis whose x_B has no entry above
     1e8 and none below -CERTIFICATE_VARIABLE_TOL, and whose x meets the
     original rows to CERTIFICATE_RESIDUAL_TOL, answers with no pivot and no
-    factorization: its x, the dual its solve verified, and no ``lp`` or
-    ``inverse`` of its own.  When none does, ``solve`` re-solves the LP from
-    the last basis's solution (cold while the pool is empty), and an
-    optimal result with a B^-1 joins the pool.
+    factorization: its x, the dual its solve verified, and no ``inverse`` of
+    its own.  When none does, ``solve`` re-solves the LP from the last basis
+    (cold while the pool is empty), which it refactorizes before any dual
+    simplex pivot, and an optimal result with a B^-1 joins the pool.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -685,8 +629,9 @@ class BasisPool:
                         break
             if answer is not None:
                 return answer
-        starts = [self.solutions[self._last]] if self.solutions else []
-        solution = solve(self.lp.with_rhs(b), starts=starts)
+        start = self.solutions[self._last].basis if self.solutions else None
+        lp = LinearProgram(self.lp.objective, self.lp.constraint_matrix, b)
+        solution = solve(lp, start=start)
         if solution.status == "optimal" and solution.inverse is not None:
             self._last = len(self.solutions)
             self.solutions.append(solution)

@@ -30,8 +30,9 @@ and c are one frozen LP per shape, so that only the right-hand side depends
 on the phases and every verified basis is dual feasible for every probe.
 Each restart keeps the bases its LPs verified in a ``simplex.BasisPool``:
 its first LP is solved cold, and a later one is answered with no pivot and
-no factorization by a pooled basis that stays primal feasible, else after a
-few dual simplex pivots from the last one.
+no factorization by a pooled basis that stays primal feasible, else solved
+from the last one as a starting basis: one factorization, then a few dual
+simplex pivots.
 
 The drivers' capped LPs keep V as a column, so each shape's V=0 LP
 (statistics, N, n_alice, n_bob) is solved once as their start.  The
@@ -297,7 +298,7 @@ def _solve_threshold_lp(statistics, alice: np.ndarray, bob: np.ndarray):
         optimal = fixed.status == "optimal"
         _START_BASES[key] = tuple(j + (j >= k) for j in fixed.basis) if optimal else None
     zero = _START_BASES[key]
-    solution = solve(lp, starts=[zero] if zero is not None else [])
+    solution = solve(lp, start=zero)
     if solution.status != "optimal":
         raise SolverFailure(
             f"threshold LP ended with status {solution.status}: {solution.detail}"

@@ -201,6 +201,10 @@ def test_number_phase_entries_equal_their_strings(tmp_path, capsys, numbers, str
             dict(EXAMPLE_CONFIG, alice=[["0", 10**400, "0"], ["0", "0", "0"]]),
             "alice[0][1]: number too large for a float",
         ),
+        (
+            dict(EXAMPLE_CONFIG, bob=[["0", "pi*²", "0"], ["0", "0", "0"]]),
+            "bob[0][1]: expected a number, 'pi', '(' or '-' at offset 3",
+        ),
     ],
 )
 def test_config_type_errors_exit_2(tmp_path, capsys, data, message):

@@ -42,6 +42,11 @@ def test_valid_expressions(source, expected):
         (".5", 0),
         ("1*/2", 2),
         ("PI", 0),
+        # NUMBER takes the ASCII digits only, not every Unicode digit
+        ("²", 0),
+        ("1²", 1),
+        ("٣", 0),
+        ("pi*²", 3),
     ],
 )
 def test_syntax_errors_carry_offset(source, position):

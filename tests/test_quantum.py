@@ -7,7 +7,6 @@ from multiport_bell.quantum import (
     ExperimentConfig,
     coincidence_derivatives_at,
     coincidences_at,
-    correlation_derivatives,
     correlation_derivatives_at,
     correlation_matrix,
     correlation_value,
@@ -16,7 +15,6 @@ from multiport_bell.quantum import (
     joint_probabilities,
     observable_unitary,
     pair_coincidences,
-    pure_coincidence_derivatives,
     settings_arrays,
 )
 from multiport_bell.threshold import builtin_config
@@ -158,7 +156,7 @@ def test_pair_coincidences_equal_the_per_pair_born_rule_bit_for_bit():
 def test_pure_coincidence_derivatives_equal_the_per_pair_formula_bit_for_bit():
     for cfg in per_pair_configs():
         n = cfg.dimension
-        batched = pure_coincidence_derivatives(cfg)
+        batched = coincidence_derivatives_at(*settings_arrays(cfg))
         assert batched.shape == (cfg.n_alice * cfg.n_bob, n, n)
         for i in range(cfg.n_alice):
             for j in range(cfg.n_bob):
@@ -179,7 +177,7 @@ def cyclic_terms(cfg, i, j):
 def test_correlation_views_equal_the_per_pair_closed_form_bit_for_bit():
     for cfg in per_pair_configs():
         n = cfg.dimension
-        derivatives = correlation_derivatives(cfg)
+        derivatives = correlation_derivatives_at(*settings_arrays(cfg))
         assert derivatives.shape == (cfg.n_alice * cfg.n_bob, n)
         for i in range(cfg.n_alice):
             for j in range(cfg.n_bob):
@@ -200,10 +198,6 @@ def test_config_functions_are_the_array_level_core_bit_for_bit():
         assert alice.tolist() == [list(s) for s in cfg.alice_settings]
         assert bob.tolist() == [list(s) for s in cfg.bob_settings]
         assert np.array_equal(pair_coincidences(cfg), coincidences_at(alice, bob))
-        assert np.array_equal(
-            pure_coincidence_derivatives(cfg), coincidence_derivatives_at(alice, bob)
-        )
-        assert np.array_equal(correlation_derivatives(cfg), correlation_derivatives_at(alice, bob))
         correlations = correlations_at(alice, bob)
         assert correlations.shape == (cfg.n_alice * cfg.n_bob,)
         for noise in (0.0, 0.37, 1.0):

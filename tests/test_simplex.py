@@ -9,7 +9,6 @@ from multiport_bell import simplex, threshold
 from multiport_bell.quantum import ExperimentConfig, settings_arrays
 from multiport_bell.simplex import (
     LinearProgram,
-    LPSolution,
     check_certificate,
     solve,
 )
@@ -217,19 +216,19 @@ def test_rejected_start_solves_as_without_one():
     cold = solve(lp)
     assert cold.status == "optimal" and cold.objective_value == pytest.approx(2.0)
     for start in ([0], [0, 2, 3], [0, 1], [0, 2]):
-        sol = solve(lp, starts=[start])
+        sol = solve(lp, start=start)
         assert sol.status == cold.status
         assert sol.objective_value == cold.objective_value
         assert sol.iterations == cold.iterations
         assert np.array_equal(sol.x, cold.x)
     for start in ([0, 4], [-1, 2], [2, 2]):
         with pytest.raises(ValueError):
-            solve(lp, starts=[start])
+            solve(lp, start=start)
     with pytest.raises(TypeError):
-        solve(lp, starts=[[0, 1.5]])
+        solve(lp, start=[0, 1.5])
     for start in ([0, 2], [0, 2, 3]):
         indices = [np.int64(j) for j in start]
-        sol = solve(lp, starts=[indices])
+        sol = solve(lp, start=indices)
         assert sol.iterations == cold.iterations
         assert np.array_equal(sol.x, cold.x)
 
@@ -239,7 +238,7 @@ def test_start_with_slightly_negative_value_is_rejected():
     # tolerance, but below the -1e-10 the final sign check allows
     lp = LinearProgram([1.0, 0.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [1.0, 5e-10])
     cold = solve(lp)
-    sol = solve(lp, starts=[[1, 2]])
+    sol = solve(lp, start=[1, 2])
     assert sol.status == cold.status == "optimal"
     assert sol.objective_value == cold.objective_value
     assert sol.iterations == cold.iterations
@@ -264,7 +263,7 @@ def test_optimal_start_refactorizes_once(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "solve", counted)
-        again = solve(lp, starts=[cold.basis])
+        again = solve(lp, start=cold.basis)
     assert again.status == "optimal" and again.iterations == 0
     assert calls == 1
     assert again.objective_value == cold.objective_value
@@ -275,7 +274,7 @@ def test_optimal_start_refactorizes_once(monkeypatch):
         cold = solve(lp)
         assert cold.status == "optimal" and len(cold.basis) < lp.n_rows
         rows[0] = 0
-        again = solve(lp, starts=[cold.basis])
+        again = solve(lp, start=cold.basis)
         assert rows == [1]
         assert again.status == "optimal"
         assert (again.iterations, again.basis) == (cold.iterations, cold.basis)
@@ -360,21 +359,6 @@ def test_factorize_well_conditioned_basis_gives_inverse_and_values():
     assert np.abs(inverse[:, 4] - expected @ rhs).max() <= 1e-12
 
 
-def test_rejected_first_start_falls_through_to_the_second():
-    # (0, 2) leaves x2 = -1, so the solve goes on to the optimal basis (1, 3)
-    lp = LinearProgram(
-        [1.0, 2.0, 0.0, 0.0], [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]], [1.0, 2.0]
-    )
-    second = solve(lp, starts=[solve(lp).basis])
-    both = solve(lp, starts=[[0, 2], second.basis])
-    assert both.status == second.status == "optimal"
-    assert both.iterations == second.iterations == 0
-    assert both.objective_value == second.objective_value
-    assert np.array_equal(both.x, second.x)
-    assert both.basis == second.basis
-    assert np.array_equal(both.dual, second.dual)
-
-
 def test_degenerate_cycling_prone_lp_terminates(monkeypatch):
     drive_outs = []
     pivot = simplex._pivot
@@ -413,7 +397,7 @@ def test_degenerate_cycling_prone_lp_terminates(monkeypatch):
         assert sol.objective_value == pytest.approx(reference, abs=1e-9)
         assert check_certificate(lp, sol).passed
         assert all(j < lp.n_cols for j in sol.basis)
-        assert solve(lp, starts=[sol.basis]).iterations == 0
+        assert solve(lp, start=sol.basis).iterations == 0
 
 
 def test_phase_1_stalled_under_blands_rule_fails_early():
@@ -448,7 +432,7 @@ def test_against_scipy_on_random_instances():
         assert sol.status == "optimal" and status == 0
         assert sol.objective_value == pytest.approx(reference, abs=1e-7)
         assert_dual_certifies(lp, sol)
-        again = solve(lp, starts=[sol.basis])
+        again = solve(lp, start=sol.basis)
         assert again.status == "optimal" and again.iterations == 0
         assert again.objective_value == sol.objective_value
         assert check_certificate(lp, again).passed
@@ -635,7 +619,7 @@ def test_full_rank_and_warm_solves_augment_the_original_rows_once(monkeypatch):
     # phase 2 on the original rows, phase 1 on the reflected reduced ones
     assert calls == [(m, True), (m, False)]
     del calls[:]
-    warm = solve(lp, starts=[zero])
+    warm = solve(lp, start=zero)
     assert calls == [(m, True)]
     assert cold.status == warm.status == "optimal"
 
@@ -717,7 +701,7 @@ def lp_and_zero_basis(cfg, statistics, cap):
 def test_accepted_start_skips_the_row_reduction(monkeypatch, name, statistics, cap, v_thr):
     lp, zero = lp_and_zero_basis(builtin_config(name), statistics, cap)
     calls = count_row_spaces(monkeypatch)
-    warm = solve(lp, starts=[zero])
+    warm = solve(lp, start=zero)
     assert calls == [0]
     cold = solve(lp)
     assert calls == [1]
@@ -734,7 +718,7 @@ def test_dual_simplex_resolves_a_nudged_lp_from_the_previous_basis():
     cfg = builtin_config("paper-qutrit")
     statistics = threshold._symmetric_statistics
     lp, zero = lp_and_zero_basis(cfg, statistics, cap=False)
-    previous = solve(lp, starts=[zero])
+    previous = solve(lp, start=zero)
     moved = ((0.0, 0.1, 0.0), cfg.alice_settings[1])
     nudged = ExperimentConfig(3, moved, cfg.bob_settings)
     nudged_lp, _ = lp_and_zero_basis(nudged, statistics, cap=False)
@@ -742,8 +726,8 @@ def test_dual_simplex_resolves_a_nudged_lp_from_the_previous_basis():
     a_max = float(np.abs(nudged_lp.constraint_matrix).max())
     inverse = simplex._factorize(data, np.array(previous.basis), a_max)
     assert inverse[:, -1].min() < -simplex.CERTIFICATE_VARIABLE_TOL
-    warm = solve(nudged_lp, starts=[previous.basis, zero])
-    from_zero = solve(nudged_lp, starts=[zero])
+    warm = solve(nudged_lp, start=previous.basis)
+    from_zero = solve(nudged_lp, start=zero)
     cold = solve(nudged_lp)
     assert warm.status == from_zero.status == cold.status == "optimal"
     assert warm.iterations < from_zero.iterations
@@ -781,7 +765,7 @@ def test_dual_simplex_that_cannot_finish_falls_back(monkeypatch, lp, start):
 
     cold = solve(lp)
     monkeypatch.setattr(simplex, "_dual_optimize", spy)
-    warm = solve(lp, starts=[start])
+    warm = solve(lp, start=start)
     assert verdicts == [None]
     assert (warm.status, warm.detail, warm.iterations) == (cold.status, cold.detail, cold.iterations)
     assert warm.basis == cold.basis
@@ -792,36 +776,21 @@ def test_dual_simplex_that_cannot_finish_falls_back(monkeypatch, lp, start):
         assert cold.status == "infeasible" and scipy_value(lp)[0] == 2
 
 
-def paper_qutrit_scan_pool(alice_setting=(0.0, 0.0, 0.0)):
-    """The pool of the scan's V* LP (probability matching) after its cold
-    solve at the paper-qutrit settings, with Alice's first setting replaced."""
+def paper_qutrit_scan_lp(alice_setting=(0.0, 0.0, 0.0)):
+    """The scan's V* LP (probability matching) at the paper-qutrit settings,
+    with Alice's first setting replaced, and the pool of its cold solve."""
     cfg = builtin_config("paper-qutrit")
     alice = (alice_setting, cfg.alice_settings[1])
     phases = settings_arrays(ExperimentConfig(3, alice, cfg.bob_settings))
-    return threshold._uncapped_visibility(threshold._symmetric_statistics, *phases, None)[2]
+    statistics = threshold._symmetric_statistics
+    pool = threshold._uncapped_visibility(statistics, *phases, None)[2]
+    *_, matched, offset = statistics(*phases)
+    return at_rhs(pool.lp, matched - offset), pool
 
 
-def paper_qutrit_scan_solution(alice_setting=(0.0, 0.0, 0.0)):
-    """The solution of that cold solve."""
-    (solution,) = paper_qutrit_scan_pool(alice_setting).solutions
-    return solution
-
-
-def resolved(monkeypatch, lp, previous):
-    """solve(lp) from the solution ``previous`` and from its basis as an index
-    list, and the verdicts of _dual_optimize in each."""
-    verdicts = []
-    dual_optimize = simplex._dual_optimize
-
-    def spy(*args):
-        verdicts.append(dual_optimize(*args))
-        return verdicts[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_dual_optimize", spy)
-        resumed = solve(lp, starts=[previous])
-        from_basis = solve(lp, starts=[list(previous.basis)])
-    return resumed, from_basis, verdicts
+def at_rhs(lp, rhs):
+    """``lp`` with the right-hand side ``rhs``."""
+    return LinearProgram(lp.objective, lp.constraint_matrix, rhs)
 
 
 def cap_lp():
@@ -833,43 +802,53 @@ def cap_lp():
 
 @pytest.mark.parametrize("case", ["no pivot", "dual pivots", "cap"])
 def test_solution_start_matches_its_basis_as_a_start(monkeypatch, case):
+    # a pool resumes from its last solution: it answers from that solution's
+    # B^-1 or re-solves from its basis, as a solve from the basis as a start
+    # does, and both agree with a cold solve
     if case == "cap":
-        previous = solve(cap_lp())
+        lp = cap_lp()
+        pool = simplex.BasisPool(lp)
+        previous = pool.solve(lp.rhs)
         assert sorted(previous.basis) == [3, 4]
-        lp = previous.lp.with_rhs([-1.0, -3.0])
+        lp = at_rhs(lp, [-1.0, -3.0])
     else:
-        previous = paper_qutrit_scan_solution()
-        moved = paper_qutrit_scan_solution((0.0, 0.1, 0.0)).lp.rhs
-        rhs = previous.lp.rhs + 1e-3 * np.ones(previous.lp.n_rows) if case == "no pivot" else moved
-        lp = previous.lp.with_rhs(rhs)
-    resumed, from_basis, verdicts = resolved(monkeypatch, lp, previous)
+        lp, pool = paper_qutrit_scan_lp()
+        (previous,) = pool.solutions
+        if case == "no pivot":
+            lp = at_rhs(lp, lp.rhs + 1e-3)
+        else:
+            lp = paper_qutrit_scan_lp((0.0, 0.1, 0.0))[0]
+    verdicts = []
+    dual_optimize = simplex._dual_optimize
+
+    def spy(*args):
+        verdicts.append(dual_optimize(*args))
+        return verdicts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_dual_optimize", spy)
+        resumed = pool.solve(lp.rhs)
+        from_basis = solve(lp, start=list(previous.basis))
+        cold = solve(lp)
     # the dual simplex runs only for a start that is not primal feasible, and
-    # a solution start that is needs no call to find that out
+    # a pool that answers needs no call to find that out
     pivots = [None if verdict is None else verdict[0] for verdict in verdicts]
     assert pivots == {"no pivot": [0], "dual pivots": [1, 1], "cap": [None, None]}[case]
-    assert resumed.status == from_basis.status == "optimal"
+    assert resumed.status == from_basis.status == cold.status == "optimal"
     assert (resumed.basis, resumed.iterations) == (from_basis.basis, from_basis.iterations)
-    assert np.max(np.abs(resumed.x - from_basis.x)) <= 1e-13
-    assert np.max(np.abs(resumed.dual - from_basis.dual)) <= 1e-13
+    if case == "no pivot":
+        # the pool's x_B comes from the pooled B^-1, the solve's from a new
+        # factorization
+        assert np.max(np.abs(resumed.x - from_basis.x)) <= 1e-13
+        assert np.max(np.abs(resumed.dual - from_basis.dual)) <= 1e-13
+    else:
+        # a re-solve is a solve from the basis as a start, bit for bit
+        assert np.array_equal(resumed.x, from_basis.x)
+        assert np.array_equal(resumed.dual, from_basis.dual)
+    assert resumed.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+    assert np.max(np.abs(resumed.x - cold.x)) <= 1e-12
     assert_dual_certifies(lp, resumed)
     assert check_certificate(lp, resumed).passed
-
-
-def test_feasible_solution_start_is_priced_once_without_a_factorization(monkeypatch):
-    # A, c and B^-1 are the previous solve's, whose reduced costs it verified:
-    # phase 2 prices the start once, makes no pivot and keeps its inverse
-    previous = paper_qutrit_scan_solution()
-    lp = previous.lp.with_rhs(previous.lp.rhs + 1e-3)
-    calls = spied(monkeypatch, (np.linalg, "solve"), (simplex, "_optimize"), (simplex, "_factorize"))
-    resumed = solve(lp, starts=[previous])
-    assert calls == ["_optimize"]
-    assert resumed.status == "optimal" and resumed.iterations == 0
-    assert resumed.basis == previous.basis
-    assert np.max(np.abs(resumed.dual - previous.dual)) <= 1e-13
-    assert resumed.lp is lp
-    assert np.array_equal(resumed.inverse, previous.inverse)
-    assert not resumed.inverse.flags.writeable
-    assert_dual_certifies(lp, resumed)
 
 
 def spied(monkeypatch, *targets) -> list[str]:
@@ -898,22 +877,21 @@ def two_basis_pool():
 
 @pytest.mark.parametrize("case", ["last basis", "stacked"])
 def test_pool_answer_matches_a_solve_from_its_basis(monkeypatch, case):
+    lp, pool = paper_qutrit_scan_lp()
     if case == "last basis":
-        pool = paper_qutrit_scan_pool()
-        rhs = pool.solutions[0].lp.rhs + 1e-3
+        lp = at_rhs(lp, lp.rhs + 1e-3)
     else:
         # the last basis, from the moved settings, leaves the paper-qutrit
         # optimum; the first one answers there again
-        pool = paper_qutrit_scan_pool()
         first = pool.solutions[0]
-        moved = paper_qutrit_scan_solution((0.0, 0.1, 0.0)).lp.rhs
+        moved = paper_qutrit_scan_lp((0.0, 0.1, 0.0))[0].rhs
         assert pool.solve(moved).basis != first.basis
-        rhs = first.lp.rhs + 1e-4
-    lp = pool.lp.with_rhs(rhs)
+        lp = at_rhs(lp, lp.rhs + 1e-4)
+    rhs = lp.rhs
     calls = spied(monkeypatch, (simplex, "solve"))
     answer = pool.solve(rhs)
     assert calls == []
-    from_basis = solve(lp, starts=[list(answer.basis)])
+    from_basis = solve(lp, start=list(answer.basis))
     assert answer.status == from_basis.status == "optimal"
     assert answer.basis == from_basis.basis and answer.iterations == 0
     assert np.max(np.abs(answer.x - from_basis.x)) <= 1e-13
@@ -928,10 +906,10 @@ def test_pool_answer_matches_a_solve_from_its_basis(monkeypatch, case):
 def test_pool_answer_needs_no_factorization(monkeypatch):
     # the last basis and, after a miss, the stacked others answer with no
     # LAPACK call, no pricing and no LinearProgram; the answer carries the
-    # verified dual of its basis and neither an lp nor an inverse
-    pool = paper_qutrit_scan_pool()
+    # verified dual of its basis and no inverse
+    lp, pool = paper_qutrit_scan_lp()
     first = pool.solutions[0]
-    pool.solve(paper_qutrit_scan_solution((0.0, 0.1, 0.0)).lp.rhs)
+    pool.solve(paper_qutrit_scan_lp((0.0, 0.1, 0.0))[0].rhs)
     calls = spied(
         monkeypatch,
         (np.linalg, "solve"),
@@ -939,14 +917,13 @@ def test_pool_answer_needs_no_factorization(monkeypatch):
         (simplex, "_factorize"),
         (simplex, "solve"),
         (LinearProgram, "__post_init__"),
-        (LinearProgram, "with_rhs"),
     )
     for shift in (1e-4, 2e-4):
-        answer = pool.solve(first.lp.rhs + shift)
+        answer = pool.solve(lp.rhs + shift)
         assert answer.status == "optimal" and answer.iterations == 0
         assert answer.basis == first.basis
         assert answer.dual is first.dual
-        assert answer.lp is None and answer.inverse is None
+        assert answer.inverse is None
     assert calls == []
 
 
@@ -986,16 +963,16 @@ def test_pool_miss_resolves_from_the_last_basis_and_pools_it_once(monkeypatch):
     starts_made = []
     original = simplex.solve
 
-    def recording(lp, *, starts):
-        starts_made.append(starts)
-        return original(lp, starts=starts)
+    def recording(lp, *, start=None):
+        starts_made.append(start)
+        return original(lp, start=start)
 
     monkeypatch.setattr(simplex, "solve", recording)
     cold = pool.solve([1.0])
-    assert starts_made == [[]] and pool.solutions == [cold]
+    assert starts_made == [None] and pool.solutions == [cold]
     second = pool.solve([-1.0])
     # the dual simplex re-solve from the last basis
-    assert len(starts_made) == 2 and len(starts_made[1]) == 1 and starts_made[1][0] is cold
+    assert starts_made == [None, (0,)] and starts_made[1] is cold.basis
     assert second.iterations == 1 and second.basis == (1,)
     assert pool.solutions == [cold, second]
     # both bases now answer without a solve, and none joins again
@@ -1015,33 +992,3 @@ def test_pool_rejects_a_malformed_rhs():
         with pytest.raises(ValueError, match=message):
             pool.solve(rhs)
     assert [s.basis for s in pool.solutions] == [(0,), (1,)]
-
-
-def test_solution_start_of_another_lp_is_refused():
-    previous = paper_qutrit_scan_solution()
-    a, b, c = previous.lp.constraint_matrix, previous.lp.rhs, previous.lp.objective
-    rank_deficient = solve(full_probability_lp(2, None))
-    assert rank_deficient.status == "optimal" and rank_deficient.inverse is None
-    for lp, start in (
-        # equal A and c, but copies: only with_rhs shares them
-        (LinearProgram(c, a, b), previous),
-        (LinearProgram(2.0 * c, a, b), previous),
-        (LinearProgram(c, 2.0 * a, b), previous),
-        # a solution on reduced rows carries no B^-1 of the original rows
-        (full_probability_lp(2, None), rank_deficient),
-        (previous.lp, LPSolution("failed", math.nan, None, math.nan, 0, "forced")),
-    ):
-        with pytest.raises(ValueError, match="^a solution start must carry"):
-            solve(lp, starts=[start])
-
-
-def test_with_rhs_shares_a_and_c_and_checks_only_the_rhs():
-    lp = LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0])
-    moved = lp.with_rhs([2.0])
-    assert moved.objective is lp.objective and moved.constraint_matrix is lp.constraint_matrix
-    assert np.array_equal(moved.rhs, [2.0]) and not moved.rhs.flags.writeable
-    assert np.array_equal(lp.rhs, [1.0])
-    assert solve(moved).objective_value == pytest.approx(2.0, abs=1e-12)
-    for rhs, message in (([1.0, 2.0], "^rhs of shape"), ([math.inf], "^rhs contains")):
-        with pytest.raises(ValueError, match=message):
-            lp.with_rhs(rhs)

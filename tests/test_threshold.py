@@ -8,11 +8,11 @@ from scipy.optimize import linprog
 from multiport_bell import simplex, threshold
 from multiport_bell.quantum import (
     ExperimentConfig,
-    correlation_derivatives,
+    coincidence_derivatives_at,
+    correlation_derivatives_at,
     correlation_matrix,
     joint_probabilities,
     pair_coincidences,
-    pure_coincidence_derivatives,
     settings_arrays,
 )
 from multiport_bell.simplex import (
@@ -453,7 +453,7 @@ RATIO_TEST_START = (53, 12, 50, 10, 55, 44, 20, 19, 33)
 )
 def test_ratio_test_lp_solves_from_the_zero_visibility_start():
     lp = ratio_test_lp()
-    solution = solve(lp, starts=[RATIO_TEST_START])
+    solution = solve(lp, start=RATIO_TEST_START)
     assert solution.status == "optimal"
     assert solution.objective_value == pytest.approx(-highs(lp).fun, abs=1e-9)
     assert_dual_certifies(lp, solution)
@@ -581,20 +581,20 @@ def charnes_cooper_lp(block, matched, offset):
 
 def config_route(dimension, vector, method):
     """The V* LP of a scan probe, and dmatched/dphase as (rows, 4, N), built
-    from the config of its phase vector through quantum's config-level
-    functions."""
+    from the config of its phase vector: the quantum point through quantum's
+    config-level functions, the derivatives at its ``settings_arrays``."""
     cfg = threshold._vector_config(dimension, vector)
     uses = threshold._settings_pairs(cfg.n_alice, cfg.n_bob)[1]
     if method == "corr":
         block = threshold._correlation_data(dimension, cfg.n_alice, cfg.n_bob)[2]
         matched = threshold._real_rows(correlation_matrix(cfg).reshape(-1), dimension)
-        by_phase = correlation_derivatives(cfg)[:, None, :] * uses[:, :, None]
+        by_phase = correlation_derivatives_at(*settings_arrays(cfg))[:, None, :] * uses[:, :, None]
         derivatives = threshold._real_rows(by_phase, dimension)
         offset = 0.0
     else:
         block = threshold._symmetric_data(dimension, cfg.n_alice, cfg.n_bob)[2]
         matched = (dimension * pair_coincidences(cfg))[:, :-1].reshape(-1)
-        by_port = dimension * pure_coincidence_derivatives(cfg)
+        by_port = dimension * coincidence_derivatives_at(*settings_arrays(cfg))
         by_phase = by_port[:, :-1, None, :] * uses[:, None, :, None]
         derivatives = by_phase.reshape(-1, *uses.shape[1:], dimension)
         offset = 1.0 / dimension
@@ -749,7 +749,7 @@ def test_scan_solves_often_start_optimal(monkeypatch):
     # 9 reach simplex.solve, each from the restart's last basis but the cold
     # first one
     pivots = []
-    start_counts = []
+    starts = []
     answer, resolve = simplex.BasisPool.solve, simplex.solve
 
     def answered(pool, rhs):
@@ -757,15 +757,16 @@ def test_scan_solves_often_start_optimal(monkeypatch):
         pivots.append(solution.iterations)
         return solution
 
-    def resolved(lp, *, starts):
-        start_counts.append(len(starts))
-        return resolve(lp, starts=starts)
+    def resolved(lp, *, start=None):
+        starts.append(start)
+        return resolve(lp, start=start)
 
     monkeypatch.setattr(simplex.BasisPool, "solve", answered)
     monkeypatch.setattr(simplex, "solve", resolved)
     scan(3, 1, 0, "prob")
     assert pivots.count(0) >= 0.85 * len(pivots)
-    assert start_counts == [0] + [1] * (len(pivots) - pivots.count(0) - 1)
+    assert starts[0] is None and len(starts) == len(pivots) - pivots.count(0)
+    assert all(isinstance(start, tuple) for start in starts[1:])
 
 
 def test_scan_opens_one_pool_per_restart(monkeypatch):
